@@ -60,7 +60,6 @@ from .oracle import (
     ProbabilityTable,
     demo_graph_text,
     demo_model,
-    iter_assignments,
     latent_name,
     random_scm,
     verify,
@@ -104,7 +103,6 @@ __all__ = [
     "is_hedge",
     "is_id",
     "is_s_hedge",
-    "iter_assignments",
     "latent_name",
     "m_separated",
     "m_separated_bruteforce",

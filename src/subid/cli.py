@@ -45,25 +45,6 @@ def _vertex_args(g: AugmentedAdmg, csv: str, option: str) -> tuple[str, ...]:
     return names
 
 
-def _witness_dict(witness) -> dict | None:
-    if isinstance(witness, HedgeWitness):
-        return {
-            "kind": "s-hedge",
-            "component": list(witness.component),
-            "hedge": list(witness.hedge),
-        }
-    if isinstance(witness, SeparationWitness):
-        return {
-            "kind": "separation",
-            "left": list(witness.left),
-            "right": list(witness.right),
-            "given": list(witness.given),
-            "bar_in": list(witness.bar_in),
-            "bar_out": list(witness.bar_out),
-        }
-    return None
-
-
 def _explain_failure(mode: str, witness) -> str:
     if isinstance(witness, HedgeWitness):
         return (
@@ -136,7 +117,7 @@ def identify_cmd(graph_path, treatment, outcome, mode, fmt, use_unicode) -> int:
                 if result.estimand is not None
                 else None
             ),
-            "witness": _witness_dict(result.witness),
+            "witness": result.witness.to_dict() if result.witness else None,
         }
         _dump(payload)
     elif result.identifiable:

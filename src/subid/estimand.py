@@ -26,13 +26,19 @@ chains; on strictly positive tables it preserves evaluation exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import numbers
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .components import is_ancestral, s_components
 from .graph import AugmentedAdmg, GraphError
+
+if TYPE_CHECKING:
+    from .oracle import ProbabilityTable
 
 __all__ = [
     "Prob",
@@ -220,81 +226,114 @@ def rebound_variables(e: Estimand) -> tuple[str, ...]:
 # -- evaluation ---------------------------------------------------------------
 
 
-class SupportsLookup(Protocol):
-    def domain_size(self, name: str) -> int: ...
+def _tabulate(e: Estimand, table: ProbabilityTable) -> dict[int, tuple]:
+    """Every subtree of ``e`` at every cell of ``table``: ``{id(node): (values, zero)}``.
 
-    def prob(self, assignment: Mapping[str, int]) -> float: ...
+    ``values`` has one axis per table variable, of size 1 where the subtree
+    does not depend on it, so broadcasting does the joins and no array
+    outgrows the table.  ``zero`` is False or marks the cells that need a zero
+    conditioning event or denominator; those cells hold no meaningful value.
+    """
+    import numpy as np
+
+    axis = {v: i for i, v in enumerate(table.variables)}
+    memo: dict[int, tuple] = {}
+
+    def axes(names: Iterable[str]) -> tuple[int, ...]:
+        unknown = [v for v in names if v not in axis]
+        if unknown:
+            raise ValueError(f"table has no variable {unknown[0]!r}")
+        return tuple(axis[v] for v in names)
+
+    def divide(num, den):
+        return num / den, False if den.all() else den == 0.0
+
+    def tab(node: Estimand) -> tuple:
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Prob):
+            axes(node.of + node.given)
+            val, zero = table.marginal_array(tuple(sorted(node.of + node.given))), False
+            if node.given:
+                val, zero = divide(val, table.marginal_array(node.given))
+        elif isinstance(node, SumOver):
+            body, zero = tab(node.body)
+            over = dict(zip(node.over, axes(node.over)))
+            summed = tuple(i for i in over.values() if body.shape[i] > 1)
+            val = body.sum(axis=summed, keepdims=True) if summed else body
+            if zero is not False and summed:
+                zero = zero.any(axis=summed, keepdims=True)
+            for v, i in over.items():  # bound but unused: counts its domain size
+                if body.shape[i] == 1:
+                    val = val * table.domain_size(v)
+        elif isinstance(node, Product):
+            parts = [tab(f) for f in node.factors]
+            val = functools.reduce(np.multiply, [p[0] for p in parts])
+            zero = functools.reduce(operator.or_, [p[1] for p in parts])
+        elif isinstance(node, Quotient):
+            (num, num_zero), (den, den_zero) = tab(node.num), tab(node.den)
+            val, hit = divide(num, den)
+            zero = num_zero | den_zero | hit
+        else:
+            val, zero = np.ones((1,) * len(axis)), False
+        memo[id(node)] = (val, zero)
+        return val, zero
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked cells only
+        tab(e)
+    return memo
 
 
 def evaluate(
-    e: Estimand, table: SupportsLookup, fixed: Mapping[str, int] | None = None
+    e: Estimand, table: ProbabilityTable, fixed: Mapping[str, int] | None = None
 ) -> float:
-    """Evaluate ``e`` against a probability table.
+    """Evaluate ``e`` on a table of P(V | S=1) at the assignment ``fixed``.
 
-    ``table`` supplies finite domains and marginal probabilities of partial
-    assignments (it represents P(V | S=1), so Prob nodes need no special
-    selection handling).  ``fixed`` assigns an integer value to every free
-    variable of ``e``.  Values of subtrees are memoized per assignment of the
-    subtree's free variables, so nested sums cost far less than the naive
-    exponential walk.
+    ``fixed`` gives every free variable of ``e`` an integer in its domain
+    (other entries are ignored).  The whole estimand is tabulated over the
+    table's cells at once and the requested cell is read off.
 
-    Raises :class:`PositivityError` when a conditioning event or an explicit
-    denominator has probability zero under the table.
+    Raises :class:`PositivityError` when that cell depends on a conditioning
+    event or denominator of probability zero, and ``ValueError`` for a
+    missing or invalid value or a variable the table does not have.
     """
-    env0 = dict(fixed or {})
+    env = dict(fixed or {})
     fmap = _free_map(e)
-    missing = [v for v in fmap[id(e)] if v not in env0]
+    missing = [v for v in fmap[id(e)] if v not in env]
     if missing:
         raise ValueError(f"no value given for free variables: {', '.join(missing)}")
+    memo = _tabulate(e, table)
+    for v in fmap[id(e)]:
+        k, val = table.domain_size(v), env[v]
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or not 0 <= val < k:
+            raise ValueError(f"value of {v!r} must be an integer in range({k}), got {val!r}")
 
-    memo: dict[tuple[int, tuple[int, ...]], float] = {}
+    def at(arr, env: dict[str, int]):  # size-1 axes read index 0
+        return arr[tuple(env[v] if k > 1 else 0 for v, k in zip(table.variables, arr.shape))]
 
-    def ev(node: Estimand, env: dict[str, int]) -> float:
-        fv = fmap[id(node)]
-        key = (id(node), tuple(env[v] for v in fv))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, One):
-            val = 1.0
-        elif isinstance(node, Prob):
-            joint = {v: env[v] for v in node.of}
-            joint.update((v, env[v]) for v in node.given)
-            num = table.prob(joint)
-            if node.given:
-                cond = {v: env[v] for v in node.given}
-                den = table.prob(cond)
-                if den == 0.0:
-                    raise PositivityError(
-                        f"conditioning event has probability zero: {cond}"
-                    )
-                val = num / den
-            else:
-                val = num
-        elif isinstance(node, SumOver):
-            total = 0.0
-            domains = [range(table.domain_size(v)) for v in node.over]
-            for combo in itertools.product(*domains):
-                inner = dict(env)
-                inner.update(zip(node.over, combo))
-                total += ev(node.body, inner)
-            val = total
-        elif isinstance(node, Product):
-            val = 1.0
-            for f in node.factors:
-                val *= ev(f, env)
-        elif isinstance(node, Quotient):
-            den = ev(node.den, env)
-            if den == 0.0:
-                at = {v: env[v] for v in fmap[id(node.den)]}
-                raise PositivityError(f"denominator evaluates to zero at {at}")
-            val = ev(node.num, env) / den
-        else:  # pragma: no cover - exhaustive over node kinds
-            raise TypeError(f"not an estimand node: {node!r}")
-        memo[key] = val
-        return val
+    def masked(node: Estimand, env: dict[str, int]) -> bool:
+        zero = memo[id(node)][1]
+        return zero is not False and bool(at(zero, env))
 
-    return ev(e, env0)
+    def culprit(node: Estimand, env: dict[str, int]) -> PositivityError:
+        # the first zero denominator met when the tree is read in order
+        if isinstance(node, Prob):
+            cond = {v: env[v] for v in node.given}
+            return PositivityError(f"conditioning event has probability zero: {cond}")
+        if isinstance(node, SumOver):
+            combos = itertools.product(*(range(table.domain_size(v)) for v in node.over))
+            inners = ({**env, **dict(zip(node.over, c))} for c in combos)
+            return culprit(node.body, next(i for i in inners if masked(node.body, i)))
+        if isinstance(node, Product):
+            return culprit(next(f for f in node.factors if masked(f, env)), env)
+        if not masked(node.den, env) and at(memo[id(node.den)][0], env) == 0.0:
+            den_env = {v: env[v] for v in fmap[id(node.den)]}
+            return PositivityError(f"denominator evaluates to zero at {den_env}")
+        return culprit(node.den if masked(node.den, env) else node.num, env)
+
+    if masked(e, env):
+        raise culprit(e, env)
+    return float(at(memo[id(e)][0], env))
 
 
 # -- rendering ----------------------------------------------------------------

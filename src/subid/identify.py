@@ -15,8 +15,8 @@ definitive; a hedge failure means "not identified by this algorithm".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Iterable, Union
 
 from .components import c_components, find_hedge, find_s_hedge, s_components
 from .estimand import (
@@ -46,13 +46,24 @@ __all__ = [
 ]
 
 
+class _Witness:
+    kind: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        """JSON-ready form: ``kind``, then each field as a list of names."""
+        names = {f.name: list(getattr(self, f.name)) for f in fields(self)}
+        return {"kind": self.kind, **names}
+
+
 @dataclass(frozen=True)
-class SeparationWitness:
+class SeparationWitness(_Witness):
     """An m-separation requirement that the query violates.
 
     Re-check: ``m_separated(g.edge_surgery(bar_in, bar_out), left, right,
     given)`` must be False.
     """
+
+    kind = "separation"
 
     left: tuple[str, ...]
     right: tuple[str, ...]
@@ -62,8 +73,10 @@ class SeparationWitness:
 
 
 @dataclass(frozen=True)
-class HedgeWitness:
+class HedgeWitness(_Witness):
     """An s-hedge ``hedge`` for the s-component ``component``."""
+
+    kind = "s-hedge"
 
     component: tuple[str, ...]
     hedge: tuple[str, ...]

@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
 Everything here is deliberately naive: subset enumeration for hedges,
-per-assignment mutilated joints for ground-truth factors.  The point is that
-none of it shares code paths with the implementations under test.
+per-assignment mutilated joints for ground-truth factors, a scalar
+estimand evaluator.  The point is that none of it shares code paths with the
+implementations under test.
 """
 
 import itertools
@@ -11,10 +12,15 @@ import numpy as np
 
 from subid import (
     AugmentedAdmg,
+    PositivityError,
+    Prob,
     ProbabilityTable,
+    Product,
+    Quotient,
+    SumOver,
+    free_vars,
     is_hedge,
     is_s_hedge,
-    iter_assignments,
     prob,
     product,
     quotient,
@@ -22,6 +28,13 @@ from subid import (
 )
 
 LETTERS = "ABCDEFG"
+
+
+def iter_assignments(names, size_of):
+    """All assignments of the named variables; ``size_of(name)`` gives domains."""
+    names = tuple(names)
+    for combo in itertools.product(*(range(size_of(n)) for n in names)):
+        yield dict(zip(names, combo))
 
 
 # -- random structures --------------------------------------------------------
@@ -95,6 +108,66 @@ def random_estimand(rng, names, depth=3):
         return quotient(build(d - 1), build(d - 1))
 
     return build(depth)
+
+
+# -- scalar estimand evaluation -------------------------------------------------
+
+
+def evaluate_scalar(e, table, fixed=None):
+    """Evaluate ``e`` at one assignment, one table lookup per node and cell.
+
+    The cross-check for the tensor evaluator ``subid.evaluate``: same
+    semantics (innermost-wins binding, the same two PositivityError
+    messages), computed by recursion over assignments with subtree values
+    memoized per assignment of the subtree's free variables.  ``table``
+    needs only ``domain_size(name)`` and ``prob(assignment)``.
+    """
+    env0 = dict(fixed or {})
+    frees = {}
+
+    def fv(node):
+        if id(node) not in frees:
+            frees[id(node)] = free_vars(node)
+        return frees[id(node)]
+
+    missing = [v for v in fv(e) if v not in env0]
+    if missing:
+        raise ValueError(f"no value given for free variables: {', '.join(missing)}")
+    memo = {}
+
+    def ev(node, env):
+        key = (id(node), tuple(env[v] for v in fv(node)))
+        if key in memo:
+            return memo[key]
+        if isinstance(node, Prob):
+            val = table.prob({v: env[v] for v in node.of + node.given})
+            if node.given:
+                cond = {v: env[v] for v in node.given}
+                den = table.prob(cond)
+                if den == 0.0:
+                    raise PositivityError(f"conditioning event has probability zero: {cond}")
+                val /= den
+        elif isinstance(node, SumOver):
+            val = 0.0
+            domains = [range(table.domain_size(v)) for v in node.over]
+            for combo in itertools.product(*domains):
+                val += ev(node.body, {**env, **dict(zip(node.over, combo))})
+        elif isinstance(node, Product):
+            val = 1.0
+            for f in node.factors:
+                val *= ev(f, env)
+        elif isinstance(node, Quotient):
+            den = ev(node.den, env)
+            if den == 0.0:
+                at = {v: env[v] for v in fv(node.den)}
+                raise PositivityError(f"denominator evaluates to zero at {at}")
+            val = ev(node.num, env) / den
+        else:
+            val = 1.0
+        memo[key] = val
+        return val
+
+    return ev(e, env0)
 
 
 # -- brute-force hedge existence ----------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 import conftest
 from helpers import (
     brute_force_s_hedge,
+    iter_assignments,
     q_ground_truth,
     qs_ground_truth,
     random_admg,
@@ -32,7 +33,6 @@ from subid import (
     is_ancestral,
     is_id,
     is_s_hedge,
-    iter_assignments,
     m_separated,
     m_separated_bruteforce,
     qs_base,

@@ -30,12 +30,21 @@ from subid import (
     random_scm,
     rebound_variables,
     render,
+    s_id,
     simplify,
     sum_over,
     to_json,
 )
 
-from helpers import qs_ground_truth, random_estimand, random_table
+from helpers import (
+    evaluate_scalar,
+    iter_assignments,
+    qs_ground_truth,
+    random_admg,
+    random_estimand,
+    random_query,
+    random_table,
+)
 
 
 # -- constructors --------------------------------------------------------------
@@ -171,6 +180,7 @@ def test_evaluate_marginals_and_conditionals():
     )
     assert evaluate(sum_over(["A", "B"], prob(["A", "B"])), TABLE) == pytest.approx(1.0)
     assert evaluate(ONE, TABLE) == 1.0
+    assert evaluate(prob(["A"]), TABLE, {"A": np.int64(1)}) == pytest.approx(0.7)
 
 
 def test_evaluate_quotient_and_product():
@@ -198,6 +208,26 @@ def test_positivity_error_on_conditioning():
         evaluate(prob(["B"], ["A"]), zero, {"A": 1, "B": 0})
     with pytest.raises(PositivityError, match="denominator evaluates to zero"):
         evaluate(quotient(prob(["B"]), prob(["A"])), zero, {"A": 1, "B": 0})
+    # only cells that need the zero denominator raise, also from inside a sum
+    assert evaluate(prob(["B"], ["A"]), zero, {"A": 0, "B": 1}) == pytest.approx(0.5)
+    with pytest.raises(PositivityError, match=r"probability zero: \{'A': 1\}"):
+        evaluate(sum_over(["A"], prob(["B"], ["A"])), zero, {"B": 0})
+
+
+@pytest.mark.parametrize(
+    "value", [-1, 2, 1.0, True], ids=["negative", "out-of-range", "float", "bool"]
+)
+def test_evaluate_rejects_invalid_values(value):
+    # -1 used to read P(A=1) through negative indexing
+    with pytest.raises(ValueError, match=r"'A' must be an integer in range\(2\)"):
+        evaluate(prob(["A"]), TABLE, {"A": value})
+
+
+def test_evaluate_rejects_variables_missing_from_the_table():
+    with pytest.raises(ValueError, match="table has no variable 'C'"):
+        evaluate(prob(["C"]), TABLE, {"C": 0})
+    with pytest.raises(ValueError, match="table has no variable 'C'"):
+        evaluate(sum_over(["C"], prob(["A"])), TABLE, {"A": 0})
 
 
 class CountingTable:
@@ -217,9 +247,63 @@ def test_evaluate_memoizes_subtrees():
     counting = CountingTable(TABLE)
     inner = sum_over(["B"], prob(["B"]))  # no free variables
     e = sum_over(["A"], product([prob(["A"]), inner]))
-    assert evaluate(e, counting) == pytest.approx(1.0)
+    assert evaluate_scalar(e, counting) == pytest.approx(1.0)
     # P(B=0), P(B=1) once each, P(A=0), P(A=1) once each: four lookups total
     assert counting.calls == 4
+
+
+# -- tensor evaluation against the scalar cross-check ---------------------------
+
+
+def _identification_estimands(rng):
+    g = random_admg(rng)
+    exprs = [part.expr for part in qs_decompose(g, qs_base(g))]
+    result = s_id(g, *random_query(rng, g))
+    if result.identifiable:
+        exprs.append(result.estimand)
+    return g, exprs
+
+
+def _outcome(evaluator, e, table, fixed):
+    try:
+        return "value", evaluator(e, table, fixed)
+    except PositivityError as exc:
+        return "positivity", str(exc)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_tensor_evaluate_matches_scalar(seed):
+    rng = np.random.default_rng(seed)
+    g, exprs = _identification_estimands(rng)
+    size = int(rng.integers(2, 4)) if len(g.observed) <= 4 else 2  # bounds the scalar side
+    table = random_table(rng, g.observed, size=size)
+    for e in exprs:
+        for a in iter_assignments(free_vars(e), table.domain_size):
+            want = evaluate_scalar(e, table, a)
+            assert abs(evaluate(e, table, a) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tensor_and_scalar_raise_on_the_same_assignments(seed):
+    rng = np.random.default_rng(seed)
+    g, exprs = _identification_estimands(rng)
+    names = tuple(sorted(g.observed))
+    exprs.append(random_estimand(rng, names))
+    values = rng.random((2,) * len(names))
+    values[rng.random(values.shape) < 0.4] = 0.0
+    values.flat[0] += 0.1  # never all zero
+    table = ProbabilityTable(names, values.shape, values / values.sum())
+    for e in exprs:
+        for a in iter_assignments(free_vars(e), table.domain_size):
+            want = _outcome(evaluate_scalar, e, table, a)
+            got = _outcome(evaluate, e, table, a)
+            assert got[0] == want[0]
+            if want[0] == "value":
+                assert abs(got[1] - want[1]) <= 1e-12 * max(1.0, abs(want[1]))
+            else:
+                assert got[1] == want[1]
 
 
 # -- simplification ------------------------------------------------------------
@@ -395,8 +479,6 @@ def test_qs_factors_match_ground_truth(medication, hedges):
 
 
 def _assert_factor_matches(factor, truth, obs, obs_names, scm):
-    from subid import iter_assignments
-
     for a in iter_assignments(obs_names, scm.domain_size):
         got = evaluate(factor.expr, obs, a)
         want = truth[tuple(a[n] for n in obs_names)]

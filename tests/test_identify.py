@@ -13,7 +13,6 @@ from subid import (
     free_vars,
     is_id,
     is_s_hedge,
-    iter_assignments,
     m_separated,
     prob,
     product,
@@ -29,7 +28,13 @@ from subid import (
     sum_over,
 )
 
-from helpers import qs_ground_truth, random_dag_admg, random_query, random_table
+from helpers import (
+    iter_assignments,
+    qs_ground_truth,
+    random_dag_admg,
+    random_query,
+    random_table,
+)
 
 
 # -- query validation -----------------------------------------------------------

@@ -11,12 +11,13 @@ from subid import (
     ProbabilityTable,
     demo_graph_text,
     demo_model,
-    iter_assignments,
     latent_name,
     parse_graph,
     random_scm,
     verify,
 )
+
+from helpers import iter_assignments
 
 
 # -- probability tables ----------------------------------------------------------
