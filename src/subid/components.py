@@ -87,10 +87,7 @@ def s_components(g: AugmentedAdmg, members: Iterable[str]) -> list[tuple[str, ..
 def is_ancestral(g: AugmentedAdmg, subset: Iterable[str], scope: Iterable[str]) -> bool:
     """True when ``subset`` is closed under taking parents inside ``scope``."""
     sub = g.vertex_set(subset)
-    sco = g.vertex_set(scope)
-    if not set(sub) <= set(sco):
-        raise GraphError("subset must lie inside the scope")
-    return g.induced_subgraph(sco).ancestors(sub) == sub
+    return g.ancestors(sub, within=scope) == sub
 
 
 def _shrink_fixpoint(g, outcome, start, component_fn):
@@ -98,8 +95,8 @@ def _shrink_fixpoint(g, outcome, start, component_fn):
     anchor = outcome[0]
     t = start
     while True:
-        anc = g.induced_subgraph(t).ancestors(outcome)
-        nxt = next(c for c in component_fn(anc) if anchor in c)
+        anc = g.ancestors(outcome, within=t)
+        nxt = next(c for c in component_fn(g, anc) if anchor in c)
         if nxt == t:
             return None if t == outcome else t
         t = nxt
@@ -119,7 +116,7 @@ def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | No
     if c_components(g, y) != [y]:
         raise GraphError(f"outcome {{{', '.join(y)}}} is not a single c-component")
     start = next(c for c in c_components(g) if y[0] in c)
-    return _shrink_fixpoint(g, y, start, lambda anc: c_components(g, anc))
+    return _shrink_fixpoint(g, y, start, c_components)
 
 
 def find_s_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | None:
@@ -136,28 +133,27 @@ def find_s_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | 
         raise GraphError(f"outcome {{{', '.join(y)}}} is not a single s-component")
     _, non_anc = g.split_by_selection()
     start = next(c for c in s_components(g, non_anc) if y[0] in c)
-    return _shrink_fixpoint(g, y, start, lambda anc: s_components(g, anc))
+    return _shrink_fixpoint(g, y, start, s_components)
+
+
+def _is_hedge_shape(g, outcome, candidate, component_fn) -> bool:
+    """Both sets are single components, the outcome strictly inside the
+    candidate, and the candidate is the ancestry of the outcome within it."""
+    y = g.vertex_set(outcome)
+    h = g.vertex_set(candidate)
+    return (
+        component_fn(g, y) == [y]
+        and set(y) < set(h)
+        and component_fn(g, h) == [h]
+        and g.ancestors(y, within=h) == h
+    )
 
 
 def is_hedge(g: AugmentedAdmg, outcome: Iterable[str], candidate: Iterable[str]) -> bool:
     """Definitional re-check: ``candidate`` is a hedge for ``outcome``."""
-    y = g.vertex_set(outcome)
-    h = g.vertex_set(candidate)
-    return (
-        c_components(g, y) == [y]
-        and set(y) < set(h)
-        and c_components(g, h) == [h]
-        and g.induced_subgraph(h).ancestors(y) == h
-    )
+    return _is_hedge_shape(g, outcome, candidate, c_components)
 
 
 def is_s_hedge(g: AugmentedAdmg, outcome: Iterable[str], candidate: Iterable[str]) -> bool:
     """Definitional re-check: ``candidate`` is an s-hedge for ``outcome``."""
-    y = g.vertex_set(outcome)
-    h = g.vertex_set(candidate)
-    return (
-        s_components(g, y) == [y]
-        and set(y) < set(h)
-        and s_components(g, h) == [h]
-        and g.induced_subgraph(h).ancestors(y) == h
-    )
+    return _is_hedge_shape(g, outcome, candidate, s_components)

@@ -107,6 +107,8 @@ ONE = One()
 
 
 def _names(values: Iterable[str], what: str) -> tuple[str, ...]:
+    if isinstance(values, str):
+        raise ValueError(f"{what} must be a collection of names, got the string {values!r}")
     out = tuple(sorted(set(values)))
     for v in out:
         if not isinstance(v, str) or not v:
@@ -226,6 +228,14 @@ def rebound_variables(e: Estimand) -> tuple[str, ...]:
 # -- evaluation ---------------------------------------------------------------
 
 
+def _check_value(name: str, value: object, size: int) -> None:
+    """Refuse a value of ``name`` that is not an integer (bools excluded) in range(size)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < size:
+        raise ValueError(
+            f"value of {name!r} must be an integer in range({size}); {value!r} is out of range"
+        )
+
+
 def _tabulate(e: Estimand, table: ProbabilityTable) -> dict[int, tuple]:
     """Every subtree of ``e`` at every cell of ``table``: ``{id(node): (values, zero)}``.
 
@@ -304,9 +314,7 @@ def evaluate(
         raise ValueError(f"no value given for free variables: {', '.join(missing)}")
     memo = _tabulate(e, table)
     for v in fmap[id(e)]:
-        k, val = table.domain_size(v), env[v]
-        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or not 0 <= val < k:
-            raise ValueError(f"value of {v!r} must be an integer in range({k}), got {val!r}")
+        _check_value(v, env[v], table.domain_size(v))
 
     def at(arr, env: dict[str, int]):  # size-1 axes read index 0
         return arr[tuple(env[v] if k > 1 else 0 for v, k in zip(table.variables, arr.shape))]
@@ -535,19 +543,24 @@ def qs_marginalize(g: AugmentedAdmg, factor: QsFactor, to: Iterable[str]) -> QsF
 def qs_decompose(g: AugmentedAdmg, factor: QsFactor) -> list[QsFactor]:
     """Split a factor into one factor per s-component of its scope.
 
-    Uses the telescoping-product construction over the topological order of
-    the scope: the factor of a component is the product, over its members, of
-    ratios of order-prefix marginals.  Telescoping ratios are cancelled, so a
+    The Tian & Pearl telescoping over the topological order of the scope:
+    with P_i the marginal of the factor on the first i vertices of the order
+    (P_0 = 1), a component's factor is the product of P_i / P_{i-1} over its
+    members, which telescopes to one P_b / P_{a-1} per maximal run a..b of
+    consecutive member positions.  Only those marginals are built, so a
     single-component scope returns the input expression unchanged.
     """
-    comps = s_components(g, factor.scope)
     order = g.topological_order(factor.scope)
-    prefix: list[Estimand] = [ONE]
-    for i in range(1, len(order) + 1):
-        prefix.append(sum_over(order[i:], factor.expr))
     pos = {v: i for i, v in enumerate(order, start=1)}
+
+    def prefix(i: int) -> Estimand:
+        return sum_over(order[i:], factor.expr) if i else ONE
+
     out = []
-    for comp in comps:
-        ratios = [quotient(prefix[pos[v]], prefix[pos[v] - 1]) for v in comp]
-        out.append(QsFactor(comp, simplify(product(ratios))))
+    for comp in s_components(g, factor.scope):
+        # within a run of consecutive positions, position minus rank is constant
+        ranks = enumerate(sorted(pos[v] for v in comp))
+        runs = [list(r) for _, r in itertools.groupby(ranks, lambda p: p[1] - p[0])]
+        ratios = [quotient(prefix(run[-1][1]), prefix(run[0][1] - 1)) for run in runs]
+        out.append(QsFactor(comp, product(ratios)))
     return out

@@ -163,14 +163,24 @@ class AugmentedAdmg:
 
     # -- vertex-set operations ---------------------------------------------
 
-    def ancestors(self, seeds: Iterable[str]) -> tuple[str, ...]:
-        """Reflexive-transitive closure of the parent relation over seeds."""
+    def ancestors(
+        self, seeds: Iterable[str], within: Iterable[str] | None = None
+    ) -> tuple[str, ...]:
+        """Reflexive-transitive closure of the parent relation over seeds.
+
+        With ``within``, only parents inside that vertex set are followed: the
+        result is the ancestry of ``seeds`` in the subgraph induced on
+        ``within``, which must contain the seeds.
+        """
         frontier = list(self.vertex_set(seeds))
+        scope = self._parents.keys() if within is None else set(self.vertex_set(within))
         seen = set(frontier)
+        if not scope >= seen:
+            raise GraphError("seeds must lie inside the scope")
         while frontier:
             v = frontier.pop()
             for p in self._parents[v]:
-                if p not in seen:
+                if p not in seen and p in scope:
                     seen.add(p)
                     frontier.append(p)
         return tuple(sorted(seen))
@@ -243,7 +253,9 @@ class AugmentedAdmg:
     # -- helpers -----------------------------------------------------------
 
     def vertex_set(self, names: Iterable[str]) -> tuple[str, ...]:
-        """Sorted, validated tuple of vertex names."""
+        """Sorted, validated tuple of vertex names; a bare string is refused."""
+        if isinstance(names, str):
+            raise GraphError(f"expected a collection of vertex names, got the string {names!r}")
         out = _as_names(names)
         for v in out:
             self._require(v)

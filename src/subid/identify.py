@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
-from .components import c_components, find_hedge, find_s_hedge, s_components
+from .components import c_components, find_hedge, s_components
 from .estimand import (
     Estimand,
     QsFactor,
@@ -74,7 +74,11 @@ class SeparationWitness(_Witness):
 
 @dataclass(frozen=True)
 class HedgeWitness(_Witness):
-    """An s-hedge ``hedge`` for the s-component ``component``."""
+    """An s-hedge ``hedge`` for the s-component ``component``.
+
+    ``hedge`` is the scope where the shrinking recursion got stuck, the same
+    set that ``find_s_hedge(g, component)`` returns.
+    """
 
     kind = "s-hedge"
 
@@ -140,6 +144,22 @@ def sid_separation(
     return m_separated(cut, xa, y, xn + (sel,))
 
 
+def _shrink(g: AugmentedAdmg, c: tuple[str, ...], factor: QsFactor) -> QsFactor:
+    """Shrink ``factor`` towards the s-component ``c`` inside its scope.
+
+    Returns the factor of ``c`` itself, or the factor whose scope the
+    recursion got stuck at: that scope is an s-hedge for ``c``.
+    """
+    while True:
+        anc = g.ancestors(c, within=factor.scope)
+        if anc == factor.scope:
+            return factor
+        narrowed = qs_marginalize(g, factor, anc)
+        if anc == c:
+            return narrowed
+        factor = next(p for p in qs_decompose(g, narrowed) if c[0] in p.scope)
+
+
 def s_id_single(
     g: AugmentedAdmg, component: Iterable[str], factor: QsFactor
 ) -> QsFactor | None:
@@ -161,23 +181,8 @@ def s_id_single(
         raise GraphError(f"{{{', '.join(c)}}} is not a single s-component")
     if s_components(g, t) != [t]:
         raise GraphError(f"{{{', '.join(t)}}} is not a single s-component")
-
-    anc = g.induced_subgraph(t).ancestors(c)
-    if anc == c:
-        if c == t:
-            return factor
-        return qs_marginalize(g, factor, c)
-    if anc == t:
-        return None
-    narrowed = qs_marginalize(g, factor, anc)
-    nxt = next(p for p in qs_decompose(g, narrowed) if c[0] in p.scope)
-    if not set(c) <= set(nxt.scope):
-        raise RuntimeError(
-            "internal error: component split across s-components of its ancestry"
-        )
-    if len(nxt.scope) >= len(t):
-        raise RuntimeError("internal error: non-shrinking identification step")
-    return s_id_single(g, c, nxt)
+    got = _shrink(g, c, factor)
+    return got if got.scope == c else None
 
 
 def s_id(
@@ -210,23 +215,14 @@ def s_id(
             ),
         )
 
-    scope = sorted(non_anc_set - set(xn))
-    d = g.induced_subgraph(scope).ancestors(yn)
+    d = g.ancestors(yn, within=non_anc_set - set(xn))
     enclosing = qs_decompose(g, qs_base(g))
     parts: list[QsFactor] = []
     for comp in s_components(g, d):
         outer = next(t for t in enclosing if comp[0] in t.scope)
-        if not set(comp) <= set(outer.scope):
-            raise RuntimeError(
-                "internal error: component split across s-components of the "
-                "non-ancestral part"
-            )
-        got = s_id_single(g, comp, outer)
-        if got is None:
-            hedge = find_s_hedge(g, comp)
-            if hedge is None:  # pragma: no cover - same shrink chain cannot differ
-                raise RuntimeError("internal error: stuck recursion without an s-hedge")
-            return IdentifyResult("fail", witness=HedgeWitness(comp, hedge))
+        got = _shrink(g, comp, outer)
+        if got.scope != comp:
+            return IdentifyResult("fail", witness=HedgeWitness(comp, got.scope))
         parts.append(got)
 
     marginal = tuple(sorted(anc_set - set(xa) - set(ya)))
@@ -278,8 +274,7 @@ def is_id(
     overlap = sorted(set(x) & set(y))
     if overlap:
         raise GraphError(f"treatment and outcome overlap on {', '.join(overlap)}")
-    scope = sorted(set(g.vertices) - set(x))
-    d = g.induced_subgraph(scope).ancestors(y)
+    d = g.ancestors(y, within=set(g.vertices) - set(x))
     for comp in c_components(g, d):
         if find_hedge(g, comp) is not None:
             return False

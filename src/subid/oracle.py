@@ -21,7 +21,7 @@ from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
-from .estimand import PositivityError, _tabulate, estimand_to_dict, render
+from .estimand import PositivityError, _check_value, _tabulate, estimand_to_dict, render
 from .graph import AugmentedAdmg, GraphError
 from .identify import s_id
 from .parser import parse_graph
@@ -92,8 +92,8 @@ class ProbabilityTable:
 
     def prob(self, assignment: Mapping[str, int]) -> float:
         """Marginal probability that the named variables take these values."""
-        for v in assignment:
-            self.domain_size(v)
+        for v, val in assignment.items():
+            _check_value(v, val, self.domain_size(v))
         arr = self.marginal_array(tuple(sorted(assignment)))
         return float(arr[tuple(assignment.get(v, 0) for v in self._variables)])
 
@@ -223,8 +223,7 @@ class DiscreteScm:
         for v, val in do.items():
             if v not in set(self.graph.observed):
                 raise GraphError(f"cannot intervene on {v!r}")
-            if not 0 <= val < self._sizes[v]:
-                raise ValueError(f"value {val} out of range for {v!r}")
+            _check_value(v, val, self._sizes[v])
         full = np.broadcast_to(self._product(do), [self._sizes[n] for n in self._names])
         at = tuple(slice(do[n], do[n] + 1) if n in do else slice(None) for n in self._names)
         return full[at]

@@ -1,11 +1,12 @@
 """m-separation on mixed graphs.
 
 Two implementations are provided on purpose.  :func:`m_separated` is the
-production algorithm: each bidirected edge is replaced by a fresh latent
-common parent and a reachability ("ball-passing") version of d-separation is
-run over the enlarged DAG.  :func:`m_separated_bruteforce` enumerates simple
-paths and applies the blocking definition literally; it exists as an oracle
-for the fast implementation and is capped at small graphs.
+production algorithm: a reachability ("ball-passing") walk over the mixed
+graph itself, in which a bidirected edge is left like an edge towards a
+parent and entered through a head, as an edge from a parent is.
+:func:`m_separated_bruteforce` enumerates simple paths and applies the
+blocking definition literally; it exists as an oracle for the fast
+implementation and is capped at small graphs.
 
 Blocking rule: on a path, a collider (both adjacent edge marks point at the
 vertex) blocks unless the vertex is an ancestor of the conditioning set; a
@@ -56,54 +57,29 @@ def m_separated(
     if not a or not b:
         return True
 
-    # Enlarged DAG: one fresh latent parent per bidirected edge.  Latent keys
-    # are tuples, so they can never collide with vertex names.
-    parents: dict[object, list[object]] = {v: list(g.parents(v)) for v in g.vertices}
-    children: dict[object, list[object]] = {v: list(g.children(v)) for v in g.vertices}
-    for u, v in g.bidirected_edges:
-        latent = ("latent", u, v)
-        parents[latent] = []
-        children[latent] = [u, v]
-        parents[u].append(latent)
-        parents[v].append(latent)
-
     w_set = set(w)
-    anc_w: set[object] = set(w)
-    stack: list[object] = list(w)
-    while stack:
-        for p in parents[stack.pop()]:
-            if p not in anc_w:
-                anc_w.add(p)
-                stack.append(p)
-
+    anc_w = set(g.ancestors(w))
     targets = set(b)
     # states: (node, arrived_through_a_head).  From a head-arrival the walk
-    # may pass to a parent only as an open collider; every other continuation
-    # requires the node to be outside the conditioning set.
-    queue: deque[tuple[object, bool]] = deque()
-    seen: set[tuple[object, bool]] = set()
-
-    def push(state: tuple[object, bool]) -> None:
-        if state not in seen:
-            seen.add(state)
-            queue.append(state)
-
-    for s in a:
-        for c in children[s]:
-            push((c, True))
-        for p in parents[s]:
-            push((p, False))
-
+    # may leave towards a parent or sibling only as an open collider; every
+    # other continuation requires the node to be outside the conditioning set.
+    # The sources count as tail-arrivals: they are outside the conditioning set.
+    queue: deque[tuple[str, bool]] = deque((s, False) for s in a)
+    seen = set(queue)
     while queue:
         node, head = queue.popleft()
         if node in targets:
             return False
+        steps = []
         if node not in w_set:
-            for c in children[node]:
-                push((c, True))
+            steps += [(c, True) for c in g.children(node)]
         if (head and node in anc_w) or (not head and node not in w_set):
-            for p in parents[node]:
-                push((p, False))
+            steps += [(p, False) for p in g.parents(node)]
+            steps += [(s, True) for s in g.siblings(node)]
+        for state in steps:
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
 
     return True
 

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: subset enumeration for hedges,
 per-assignment mutilated joints for ground-truth factors, a scalar
-estimand evaluator.  The point is that none of it shares code paths with the
+estimand evaluator, member-by-member c-factor telescoping.  The point is that none of it shares code paths with the
 implementations under test.
 """
 
@@ -11,11 +11,13 @@ import itertools
 import numpy as np
 
 from subid import (
+    ONE,
     AugmentedAdmg,
     PositivityError,
     Prob,
     ProbabilityTable,
     Product,
+    QsFactor,
     Quotient,
     SumOver,
     free_vars,
@@ -24,6 +26,8 @@ from subid import (
     prob,
     product,
     quotient,
+    s_components,
+    simplify,
     sum_over,
 )
 
@@ -168,6 +172,23 @@ def evaluate_scalar(e, table, fixed=None):
         return val
 
     return ev(e, env0)
+
+
+# -- per-member c-factor telescoping --------------------------------------------
+
+
+def qs_decompose_reference(g, factor):
+    """``qs_decompose`` built member by member: the product over a component
+    of the ratios of consecutive order-prefix marginals, cancelled by
+    ``simplify``."""
+    order = g.topological_order(factor.scope)
+    prefix = [ONE] + [sum_over(order[i:], factor.expr) for i in range(1, len(order) + 1)]
+    pos = {v: i for i, v in enumerate(order, start=1)}
+    out = []
+    for comp in s_components(g, factor.scope):
+        ratios = [quotient(prefix[pos[v]], prefix[pos[v] - 1]) for v in comp]
+        out.append(QsFactor(comp, simplify(product(ratios))))
+    return out
 
 
 # -- brute-force hedge existence ----------------------------------------------

@@ -39,6 +39,7 @@ from subid import (
 from helpers import (
     evaluate_scalar,
     iter_assignments,
+    qs_decompose_reference,
     qs_ground_truth,
     random_admg,
     random_estimand,
@@ -48,6 +49,17 @@ from helpers import (
 
 
 # -- constructors --------------------------------------------------------------
+
+
+def test_bare_strings_rejected_as_name_lists():
+    with pytest.raises(ValueError, match="got the string 'V10'"):
+        prob("V10")
+    with pytest.raises(ValueError, match="got the string 'BC'"):
+        prob(["A"], "BC")
+    with pytest.raises(ValueError, match="got the string 'AB'"):
+        sum_over("AB", prob(["A", "B"]))
+    with pytest.raises(ValueError, match="got the string 'AB'"):
+        from_json('{"kind":"prob","of":"AB"}')
 
 
 def test_prob_sorts_and_validates():
@@ -459,6 +471,30 @@ def test_qs_decompose_two_components(hedges):
     assert render(parts[1].expr, "text", unicode_sum=False) == (
         f"{joint} / (Sum_{{Y1,Y2}} {joint})"
     )
+
+
+def test_qs_decompose_matches_member_by_member_telescoping():
+    # every factor the recursion can reach: decompose, then marginalize each
+    # part to the ancestry of each of its vertices, and decompose again
+    rng = np.random.default_rng(21)
+    checked = gapped = 0
+    for _ in range(300):
+        g = random_admg(rng, n_obs=int(rng.integers(4, 8)), p_bi=0.25, p_sel_dir=0.1)
+        factors = [qs_base(g)]
+        while factors:
+            factor = factors.pop()
+            parts = qs_decompose(g, factor)
+            assert parts == qs_decompose_reference(g, factor), (g, factor)
+            checked += 1
+            order = g.topological_order(factor.scope)
+            for part in parts:
+                ranks = sorted(order.index(v) for v in part.scope)
+                gapped += ranks[-1] - ranks[0] >= len(ranks)  # more than one run
+                for v in part.scope:
+                    anc = g.ancestors([v], within=part.scope)
+                    if anc != part.scope:
+                        factors.append(qs_marginalize(g, part, anc))
+    assert checked >= 1000 and gapped >= 100
 
 
 def test_qs_factors_match_ground_truth(medication, hedges):

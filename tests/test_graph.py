@@ -226,3 +226,24 @@ def test_topological_order_respects_edges():
         assert len(order) == len(g.vertices)
         for tail, head in g.directed_edges:
             assert pos[tail] < pos[head]
+
+
+def test_ancestors_within_matches_induced_subgraph():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        g = random_admg(rng, p_dir=0.5)
+        scope = [v for v in g.vertices if rng.random() < 0.7]
+        seeds = [v for v in scope if rng.random() < 0.4]
+        assert g.ancestors(seeds, within=scope) == g.induced_subgraph(scope).ancestors(seeds)
+        outside = sorted(set(g.vertices) - set(scope))
+        if outside:
+            with pytest.raises(GraphError, match="seeds must lie inside the scope"):
+                g.ancestors(seeds + outside[:1], within=scope)
+
+
+def test_bare_string_vertex_sets_rejected(recoverability):
+    with pytest.raises(GraphError, match="got the string 'X1'"):
+        recoverability.vertex_set("X1")
+    with pytest.raises(GraphError, match="got the string 'Y'"):
+        recoverability.ancestors(["X1"], within="Y")
+    assert recoverability.vertex_set(["X1"]) == ("X1",)

@@ -1,6 +1,8 @@
 """The identification procedures: separation precondition, single-component
 recursion, full assembly, population recovery, and the classical criterion."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from subid import (
     HedgeWitness,
     SeparationWitness,
     evaluate,
+    find_s_hedge,
     free_vars,
     is_id,
     is_s_hedge,
@@ -31,6 +34,7 @@ from subid import (
 from helpers import (
     iter_assignments,
     qs_ground_truth,
+    random_admg,
     random_dag_admg,
     random_query,
     random_table,
@@ -202,6 +206,25 @@ def test_s_id_hedge_failure_carries_checkable_witness(hedges):
     assert r.estimand is None
     assert r.witness == HedgeWitness(component=("X2",), hedge=("X1", "X2"))
     assert is_s_hedge(hedges, r.witness.component, r.witness.hedge)
+
+
+def test_s_id_hedge_witness_is_the_s_hedge_search_result():
+    # the scope the recursion gets stuck at is the fixpoint find_s_hedge reaches
+    rng = np.random.default_rng(31)
+    witnessed = 0
+    for _ in range(100):
+        g = random_admg(rng, p_bi=0.35)
+        for x, y in itertools.permutations(g.observed, 2):
+            w = s_id(g, [x], [y]).witness
+            if isinstance(w, HedgeWitness):
+                assert w.hedge == find_s_hedge(g, w.component), (g, x, y)
+                witnessed += 1
+    assert witnessed >= 40
+
+
+def test_s_id_rejects_bare_string_vertex_sets(recoverability):
+    with pytest.raises(GraphError, match="got the string 'X1'"):
+        s_id(recoverability, "X1", ["Y"])
 
 
 def test_s_id_latent_selection_fails(latent_selection):

@@ -51,6 +51,14 @@ def test_table_marginals():
         t.prob({"C": 0})
 
 
+def test_table_prob_rejects_invalid_values():
+    t = ProbabilityTable(("A", "B"), (2, 2), np.array([[0.1, 0.2], [0.3, 0.4]]))
+    for bad in (-1, 2, 5, 0.5, True):
+        with pytest.raises(ValueError, match=r"'A' must be an integer in range\(2\)"):
+            t.prob({"A": bad})
+    assert t.prob({"A": np.int64(1)}) == pytest.approx(0.7)
+
+
 def test_table_values_returns_a_copy():
     t = ProbabilityTable(("A",), (2,), np.array([0.4, 0.6]))
     v = t.values
@@ -132,6 +140,12 @@ def test_intervention_validation():
         scm.interventional_s({"S": 1})
     with pytest.raises(ValueError, match="out of range"):
         scm.interventional_s({"X": 5})
+    for bad in (0.5, True, -1):
+        with pytest.raises(ValueError, match=r"'X' must be an integer in range\(2\)"):
+            scm.interventional_s({"X": bad})
+        with pytest.raises(ValueError, match=r"'X' must be an integer in range\(2\)"):
+            scm.interventional_joint({"X": bad})
+    assert scm.interventional_s({"X": np.int64(1)}) is not None
 
 
 # -- the demo model's closed-form numbers ------------------------------------------

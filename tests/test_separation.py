@@ -127,6 +127,22 @@ def test_agreement_on_random_graphs():
     assert disagreements == 0
 
 
+def test_agreement_on_bidirected_dense_graphs():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(150):
+        g = random_admg(rng, n_obs=int(rng.integers(3, 8)), p_bi=0.5, p_sel_bi=0.5)
+        verts = list(g.vertices)
+        for _ in range(6):
+            picked = [verts[i] for i in rng.permutation(len(verts))]
+            cut_a, cut_b = sorted(rng.choice(range(1, len(verts)), size=2, replace=False))
+            a, b = picked[:cut_a][:2], picked[cut_a:cut_b][:2]
+            w = [v for v in picked[cut_b:] if rng.random() < 0.5]
+            assert m_separated(g, a, b, w) == m_separated_bruteforce(g, a, b, w), (g, a, b, w)
+            checked += 1
+    assert checked == 900
+
+
 def test_set_valued_sides(hedges):
     # separating a set is the conjunction over its members
     a, b, w = ["X1", "X2"], ["Z1"], ["Z2"]
