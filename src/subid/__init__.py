@@ -40,7 +40,6 @@ from .estimand import (
     quotient,
     rebound_variables,
     render,
-    simplify,
     sum_over,
     to_json,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "s_recover",
     "serialize_graph",
     "sid_separation",
-    "simplify",
     "sum_over",
     "to_json",
     "verify",

@@ -18,10 +18,11 @@ internally over variables that the surrounding assembly sums again).
 
 Construction goes through the lowercase helpers (:func:`prob`,
 :func:`sum_over`, :func:`product`, :func:`quotient`), which canonicalize:
-variable lists are sorted, products are flattened with unit factors dropped
-and factors ordered by rendered form, empty sums disappear, and trivial
-quotients collapse.  ``simplify`` additionally cancels telescoping quotient
-chains; on strictly positive tables it preserves evaluation exactly.
+variable lists are sorted, products are flattened with unit factors dropped,
+factors ordered by rendered form and telescoping quotient chains cancelled,
+empty sums disappear, and trivial quotients collapse.  Every tree built this
+way, or read back with :func:`from_json`, is in canonical form, and
+canonicalizing preserves evaluation exactly on strictly positive tables.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import json
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
+from typing import TYPE_CHECKING, Union
 
 from .components import is_ancestral, s_components
 from .graph import AugmentedAdmg, GraphError
@@ -61,7 +63,6 @@ __all__ = [
     "from_json",
     "estimand_to_dict",
     "estimand_from_dict",
-    "simplify",
     "QsFactor",
     "qs_base",
     "qs_marginalize",
@@ -109,11 +110,13 @@ ONE = One()
 def _names(values: Iterable[str], what: str) -> tuple[str, ...]:
     if isinstance(values, str):
         raise ValueError(f"{what} must be a collection of names, got the string {values!r}")
-    out = tuple(sorted(set(values)))
-    for v in out:
+    if not isinstance(values, Iterable):
+        raise ValueError(f"{what} must be a collection of names, got {values!r}")
+    values = list(values)
+    for v in values:
         if not isinstance(v, str) or not v:
             raise ValueError(f"{what} must be non-empty strings, got {v!r}")
-    return out
+    return tuple(sorted(set(values)))
 
 
 # -- constructors ------------------------------------------------------------
@@ -144,21 +147,43 @@ def sum_over(bound: Iterable[str], body: Estimand) -> Estimand:
 
 
 def product(factors: Iterable[Estimand]) -> Estimand:
-    """Product of factors, flattened, unit-free, ordered by rendered form."""
-    flat: list[Estimand] = []
-    for f in factors:
-        if isinstance(f, Product):
-            flat.extend(f.factors)
-        elif isinstance(f, One):
-            continue
-        else:
-            flat.append(f)
+    """Product of factors, flattened, unit-free, ordered by rendered form, with
+    telescoping quotient chains cancelled: (x/y)(y/z) -> x/z, f(g/f) -> g."""
+    flat = _flatten(factors)
+    while _telescope(flat):
+        flat = _flatten(flat)
     if not flat:
         return ONE
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=lambda f: render(f, "text"))
     return Product(tuple(flat))
+
+
+def _flatten(factors: Iterable[Estimand]) -> list[Estimand]:
+    flat: list[Estimand] = []
+    for f in factors:
+        if isinstance(f, Product):
+            flat.extend(f.factors)
+        elif not isinstance(f, One):
+            flat.append(f)
+    flat.sort(key=lambda f: render(f, "text"))
+    return flat
+
+
+def _telescope(flat: list[Estimand]) -> bool:
+    """Merge the first cancelling pair in scan order, in place, until none is left."""
+    merged, i = False, 0
+    while i < len(flat):
+        fi = flat[i]
+        j = next((j for j, q in enumerate(flat) if j != i and isinstance(q, Quotient) and (
+            fi.den == q.num if isinstance(fi, Quotient) else q.den == fi)), None)
+        if j is None:
+            i += 1
+            continue
+        flat[i] = quotient(fi.num, flat[j].den) if isinstance(fi, Quotient) else flat[j].num
+        del flat[j]
+        merged, i = True, 0
+    return merged
 
 
 def quotient(num: Estimand, den: Estimand) -> Estimand:
@@ -407,17 +432,30 @@ def estimand_to_dict(e: Estimand) -> dict:
 
 
 def estimand_from_dict(d: Mapping) -> Estimand:
+    """Rebuild an estimand through the constructors; malformed input raises ``ValueError``."""
+    try:
+        return _from_dict(d)
+    except RecursionError:
+        raise ValueError("estimand nesting is too deep") from None
+
+
+def _from_dict(d: object) -> Estimand:
+    if not isinstance(d, Mapping):
+        raise ValueError(f"estimand node must be an object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == "one":
         return ONE
     if kind == "prob":
-        return prob(d["of"], d.get("given", ()))
+        return prob(d.get("of"), d.get("given", ()))
     if kind == "sum":
-        return sum_over(d["over"], estimand_from_dict(d["body"]))
+        return sum_over(d.get("over"), _from_dict(d.get("body")))
     if kind == "product":
-        return product(estimand_from_dict(f) for f in d["factors"])
+        factors = d.get("factors")
+        if not isinstance(factors, list):
+            raise ValueError("product node needs a list of factors")
+        return product(_from_dict(f) for f in factors)
     if kind == "quotient":
-        return quotient(estimand_from_dict(d["num"]), estimand_from_dict(d["den"]))
+        return quotient(_from_dict(d.get("num")), _from_dict(d.get("den")))
     raise ValueError(f"unknown estimand node kind: {kind!r}")
 
 
@@ -426,7 +464,12 @@ def to_json(e: Estimand) -> str:
 
 
 def from_json(text: str) -> Estimand:
-    return estimand_from_dict(json.loads(text))
+    """Parse :func:`to_json` output; malformed or too deeply nested text raises ``ValueError``."""
+    try:
+        d = json.loads(text)
+    except RecursionError:
+        raise ValueError("estimand nesting is too deep") from None
+    return estimand_from_dict(d)
 
 
 def render(e: Estimand, fmt: str = "text", *, unicode_sum: bool = True) -> str:
@@ -438,55 +481,6 @@ def render(e: Estimand, fmt: str = "text", *, unicode_sum: bool = True) -> str:
     if fmt == "json":
         return to_json(e)
     raise ValueError(f"unknown render format {fmt!r} (expected text, latex, or json)")
-
-
-# -- simplification ------------------------------------------------------------
-
-
-def simplify(e: Estimand) -> Estimand:
-    """Cancel telescoping quotient chains and unit factors.
-
-    Rules applied to products, to a fixpoint: (x/y)(y/z) -> x/z and
-    f(g/f) -> g, plus the constructor identities (unit factors drop,
-    quotients with equal sides collapse).  Evaluation is preserved on every
-    strictly positive table.
-    """
-    if isinstance(e, SumOver):
-        return sum_over(e.over, simplify(e.body))
-    if isinstance(e, Quotient):
-        return quotient(simplify(e.num), simplify(e.den))
-    if not isinstance(e, Product):
-        return e
-
-    flat: list[Estimand] = []
-    for f in e.factors:
-        s = simplify(f)
-        if isinstance(s, Product):
-            flat.extend(s.factors)
-        elif not isinstance(s, One):
-            flat.append(s)
-
-    changed = True
-    while changed:
-        changed = False
-        for i, fi in enumerate(flat):
-            for j, fj in enumerate(flat):
-                if i == j:
-                    continue
-                merged = None
-                if isinstance(fi, Quotient) and isinstance(fj, Quotient):
-                    if fi.den == fj.num:
-                        merged = quotient(fi.num, fj.den)
-                elif isinstance(fj, Quotient) and fj.den == fi:
-                    merged = fj.num
-                if merged is not None:
-                    flat[i] = merged
-                    del flat[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    return product(flat)
 
 
 # -- post-intervention factors over the sub-population -------------------------

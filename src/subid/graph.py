@@ -33,6 +33,8 @@ class CycleError(GraphError):
 
 
 def _as_names(vertices: Iterable[str]) -> tuple[str, ...]:
+    if isinstance(vertices, str):
+        raise GraphError(f"expected a collection of vertex names, got the string {vertices!r}")
     return tuple(sorted(set(vertices)))
 
 
@@ -42,7 +44,8 @@ class AugmentedAdmg:
     Parameters
     ----------
     vertices:
-        Iterable of vertex names.  Names are arbitrary non-empty strings.
+        Iterable of vertex names, not a bare string.  Names are arbitrary
+        non-empty strings.
     directed:
         Iterable of ``(tail, head)`` pairs.  Duplicates collapse.
     bidirected:
@@ -254,8 +257,6 @@ class AugmentedAdmg:
 
     def vertex_set(self, names: Iterable[str]) -> tuple[str, ...]:
         """Sorted, validated tuple of vertex names; a bare string is refused."""
-        if isinstance(names, str):
-            raise GraphError(f"expected a collection of vertex names, got the string {names!r}")
         out = _as_names(names)
         for v in out:
             self._require(v)

@@ -28,7 +28,6 @@ from .estimand import (
     qs_base,
     qs_decompose,
     qs_marginalize,
-    simplify,
     sum_over,
 )
 from .graph import AugmentedAdmg, GraphError
@@ -228,7 +227,7 @@ def s_id(
     marginal = tuple(sorted(anc_set - set(xa) - set(ya)))
     outer_prob = prob(ya + marginal, xa)
     inner = sum_over(set(d) - set(yn), product(p.expr for p in parts))
-    est = simplify(sum_over(marginal, product([outer_prob, inner])))
+    est = sum_over(marginal, product([outer_prob, inner]))
     return IdentifyResult("identifiable", estimand=est)
 
 

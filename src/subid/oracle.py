@@ -156,6 +156,8 @@ class DiscreteScm:
 
         sizes: dict[str, int] = {}
         for v in graph.vertices:
+            if v != graph.selection and v not in domains:
+                raise ValueError(f"missing domain size for {v!r}")
             sizes[v] = 2 if v == graph.selection else int(domains[v])
         for l in self._latents:
             sizes[l] = int(domains.get(l, 2))
@@ -389,6 +391,8 @@ def verify(
     that table and compared at every treatment/outcome assignment.  Returns a
     JSON-ready report; identical arguments give bit-identical reports.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     x = g.vertex_set(treatment)
     y = g.vertex_set(outcome)
     result = s_id(g, x, y)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: subset enumeration for hedges,
 per-assignment mutilated joints for ground-truth factors, a scalar
-estimand evaluator, member-by-member c-factor telescoping.  The point is that none of it shares code paths with the
-implementations under test.
+estimand evaluator, a plain-loop telescoping fixpoint, member-by-member
+c-factor telescoping.  The point is that none of it shares code paths with
+the implementations under test.
 """
 
 import itertools
@@ -26,8 +27,8 @@ from subid import (
     prob,
     product,
     quotient,
+    render,
     s_components,
-    simplify,
     sum_over,
 )
 
@@ -174,20 +175,57 @@ def evaluate_scalar(e, table, fixed=None):
     return ev(e, env0)
 
 
-# -- per-member c-factor telescoping --------------------------------------------
+# -- telescoping -----------------------------------------------------------------
+
+
+def telescope_reference(factors):
+    """``product(factors)`` by the rule set applied to a fixpoint with plain loops.
+
+    Flatten, drop units and order by rendered form; then, scanning pairs in
+    that order, replace the first pair (x/y)(y/z) by x/z or f(g/f) by g until
+    no pair cancels; repeat from the top while anything merged.  The result
+    is assembled from the dataclasses, not through ``product``.
+    """
+    flat = list(factors)
+    changed = True
+    while changed:
+        flat = [g for f in flat for g in (f.factors if isinstance(f, Product) else (f,))]
+        flat = sorted((f for f in flat if f != ONE), key=lambda f: render(f, "text"))
+        changed = False
+        merging = True
+        while merging:
+            merging = False
+            for i, fi in enumerate(flat):
+                for j, fj in enumerate(flat):
+                    if i == j or not isinstance(fj, Quotient):
+                        continue
+                    if isinstance(fi, Quotient):
+                        merged = quotient(fi.num, fj.den) if fi.den == fj.num else None
+                    else:
+                        merged = fj.num if fj.den == fi else None
+                    if merged is not None:
+                        flat[i] = merged
+                        del flat[j]
+                        changed = merging = True
+                        break
+                if merging:
+                    break
+    if not flat:
+        return ONE
+    return flat[0] if len(flat) == 1 else Product(tuple(flat))
 
 
 def qs_decompose_reference(g, factor):
     """``qs_decompose`` built member by member: the product over a component
-    of the ratios of consecutive order-prefix marginals, cancelled by
-    ``simplify``."""
+    of the ratios of consecutive order-prefix marginals, which ``product``
+    telescopes."""
     order = g.topological_order(factor.scope)
     prefix = [ONE] + [sum_over(order[i:], factor.expr) for i in range(1, len(order) + 1)]
     pos = {v: i for i, v in enumerate(order, start=1)}
     out = []
     for comp in s_components(g, factor.scope):
         ratios = [quotient(prefix[pos[v]], prefix[pos[v] - 1]) for v in comp]
-        out.append(QsFactor(comp, simplify(product(ratios))))
+        out.append(QsFactor(comp, product(ratios)))
     return out
 
 

@@ -191,6 +191,16 @@ def test_verify_failure_exit_2(capsys):
     assert report["witness"]["kind"] == "s-hedge"
 
 
+def test_verify_zero_trials_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "--graph", HEDGES, "--treatment", "X2",
+        "--outcome", "Y2", "--trials", "0",
+    )
+    assert code == 1
+    assert out == ""
+    assert "trials must be at least 1, got 0" in err
+
+
 def test_verify_requires_graph_or_demo(capsys):
     code, _, err = run(capsys, "verify", "--outcome", "Y")
     assert code == 1

@@ -1,5 +1,8 @@
-"""Estimand trees: construction, rendering, evaluation, simplification,
-and the symbolic post-intervention factors built on top of them."""
+"""Estimand trees: construction (telescoping included), rendering, evaluation,
+serialization, and the symbolic post-intervention factors built on top of them."""
+
+import json
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +34,6 @@ from subid import (
     rebound_variables,
     render,
     s_id,
-    simplify,
     sum_over,
     to_json,
 )
@@ -45,6 +47,7 @@ from helpers import (
     random_estimand,
     random_query,
     random_table,
+    telescope_reference,
 )
 
 
@@ -175,6 +178,59 @@ def test_json_round_trip_exact():
 def test_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown estimand node kind"):
         estimand_from_dict({"kind": "power"})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"kind":"prob"}', "outcome variables must be a collection of names, got None"),
+        ("[1]", "must be an object, got list"),
+        ('{"kind":"product","factors":3}', "product node needs a list of factors"),
+        ('{"kind":"sum","over":["A"]}', "must be an object, got NoneType"),
+        ('{"kind":"quotient","num":{"kind":"one"},"den":[]}', "must be an object, got list"),
+        ('{"kind":"prob","of":[1,"A"]}', "must be non-empty strings, got 1"),
+        ('{"kind":"prob","of":["A"],"given":5}', "got 5"),
+        ('{"kind":[]}', "unknown estimand node kind"),
+        ("{", "Expecting property name"),
+        ('{"kind":"sum","over":["A"],"body":' * 3000 + '{"kind":"one"}' + "}" * 3000, "too deep"),
+        ("[" * 3000 + "]" * 3000, "too deep"),
+    ],
+)
+def test_from_json_rejects_malformed_input(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(text)
+
+
+def test_from_dict_rejects_deep_nesting():
+    d = {"kind": "one"}
+    for _ in range(3000):
+        d = {"kind": "quotient", "num": d, "den": {"kind": "prob", "of": ["A"]}}
+    with pytest.raises(ValueError, match="too deep"):
+        estimand_from_dict(d)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from(
+        ["one", "prob", "sum", "product", "quotient", "A", "B", ""]
+    ),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["kind", "of", "given", "over", "body", "factors", "num", "den"]),
+        kids,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@given(st.one_of(_JSON.map(json.dumps), st.text(max_size=30)))
+@settings(max_examples=400, deadline=None)
+def test_from_json_fuzz_answers_or_raises_value_error(text):
+    try:
+        e = from_json(text)
+    except ValueError:
+        return
+    assert from_json(to_json(e)) == e
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -321,45 +377,50 @@ def test_tensor_and_scalar_raise_on_the_same_assignments(seed):
 # -- simplification ------------------------------------------------------------
 
 
-def test_simplify_telescoping_chain():
+def test_product_telescoping_chain():
     a, b, c = prob(["A"]), prob(["B"]), prob(["C"])
     chain = product([quotient(a, b), quotient(b, c)])
-    assert simplify(chain) == quotient(a, c)
+    assert chain == quotient(a, c)
 
 
-def test_simplify_cancels_factor_against_denominator():
+def test_product_cancels_factor_against_denominator():
     a, b = prob(["A"]), prob(["B"])
-    assert simplify(product([b, quotient(a, b)])) == a
+    assert product([b, quotient(a, b)]) == a
 
 
-def test_simplify_full_telescope_collapses_to_one():
+def test_product_full_telescope_collapses_to_one():
     a, b = prob(["A"]), prob(["B"])
-    assert simplify(product([quotient(a, b), quotient(b, a)])) is ONE
+    assert product([quotient(a, b), quotient(b, a)]) is ONE
 
 
-def test_simplify_recurses_into_sums():
+def test_product_telescopes_inside_sums():
     a, b = prob(["A"]), prob(["B"])
     e = sum_over(["C"], product([b, quotient(a, b)]))
-    assert simplify(e) == sum_over(["C"], a)
+    assert e == SumOver(("C",), a)
 
 
-def test_simplify_leaves_irreducible_trees_alone():
+def test_product_leaves_irreducible_factors_alone():
     e = sum_over(["Z"], product([prob(["Y"], ["X", "Z"]), prob(["Z"])]))
-    assert simplify(e) == e
+    assert e == SumOver(("Z",), Product((Prob(("Y",), ("X", "Z")), Prob(("Z",)))))
 
 
-def test_simplify_preserves_evaluation_on_positive_tables():
+def test_telescoping_preserves_evaluation_on_positive_tables():
+    """An un-telescoped product built from the dataclasses evaluates like its
+    canonical form, which ``product`` and a JSON round trip both produce."""
     rng = np.random.default_rng(3)
     names = ["A", "B", "C"]
     for _ in range(120):
         table = random_table(rng, names)
-        e = random_estimand(rng, names)
-        s = simplify(e)
-        fixed = {v: int(rng.integers(0, 2)) for v in free_vars(e)}
-        assert free_vars(s) == free_vars(e) or set(free_vars(s)) <= set(free_vars(e))
-        lhs = evaluate(e, table, fixed)
-        rhs = evaluate(s, table, fixed)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        links = [random_estimand(rng, names, depth=2) for _ in range(int(rng.integers(2, 5)))]
+        chain = [Quotient(x, y) for x, y in zip(links, links[1:]) if x != y]
+        extra = [links[-1]] if rng.random() < 0.5 else []
+        raw = Product(tuple(chain + extra + [random_estimand(rng, names, depth=1)]))
+        canon = product(raw.factors)
+        assert from_json(to_json(raw)) == canon
+        fixed = {v: int(rng.integers(0, 2)) for v in free_vars(raw)}
+        assert set(free_vars(canon)) <= set(free_vars(raw))
+        want = evaluate(raw, table, fixed)
+        assert evaluate(canon, table, fixed) == pytest.approx(want, abs=1e-12)
 
 
 # -- hypothesis: structural properties over random trees ------------------------
@@ -399,9 +460,33 @@ def test_render_is_deterministic(e):
 
 @given(estimands())
 @settings(max_examples=80, deadline=None)
-def test_simplify_idempotent(e):
-    s = simplify(e)
-    assert simplify(s) == s
+def test_product_is_idempotent(e):
+    assert product([e]) == e
+    if isinstance(e, Product):
+        assert product(e.factors) == e
+
+
+def chained_factor_lists(names=("A", "B", "C", "D")):
+    """Factor lists holding quotient chains over a few shared links, shuffled
+    in with the links themselves and unrelated trees."""
+    links = st.lists(estimands(names), min_size=2, max_size=5, unique=True)
+
+    def assemble(links, picks, others):
+        chain = [quotient(x, y) for x, y in zip(links, links[1:])]
+        return [chain[i % len(chain)] for i in picks] + [links[picks[0] % len(links)]] + others
+
+    return st.builds(
+        assemble,
+        links,
+        st.lists(st.integers(0, 8), min_size=1, max_size=6),
+        st.lists(estimands(names), max_size=2),
+    ).flatmap(st.permutations)
+
+
+@given(chained_factor_lists())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_reference_telescoping(factors):
+    assert product(factors) == telescope_reference(factors)
 
 
 # -- symbolic post-intervention factors -----------------------------------------

@@ -247,3 +247,6 @@ def test_bare_string_vertex_sets_rejected(recoverability):
     with pytest.raises(GraphError, match="got the string 'Y'"):
         recoverability.ancestors(["X1"], within="Y")
     assert recoverability.vertex_set(["X1"]) == ("X1",)
+    with pytest.raises(GraphError, match="got the string 'XYS'"):
+        AugmentedAdmg("XYS", [("X", "Y")], selection="S")
+    assert AugmentedAdmg(["XY", "S"], [("XY", "S")], selection="S").vertices == ("S", "XY")

@@ -112,6 +112,10 @@ def test_scm_validates_tables(medication):
         DiscreteScm(medication, domains, {})
     good = random_scm(medication, seed=0)
     cpts = {n: good._cpts[n] for n in good._cpts}
+    with pytest.raises(ValueError, match="missing domain size for 'X'"):
+        DiscreteScm(medication, {v: 2 for v in medication.vertices if v != "X"}, cpts)
+    # the selection vertex needs no domain: it is always binary
+    DiscreteScm(medication, {v: 2 for v in medication.vertices if v != "S"}, cpts)
     cpts["X"] = np.full((2, 3), 1 / 3)
     with pytest.raises(ValueError, match="expected"):
         DiscreteScm(medication, domains, cpts)
@@ -305,3 +309,10 @@ def test_verify_larger_domain(medication):
     report = verify(medication, ["X"], ["Y"], trials=2, domain_size=3, seed=11)
     assert report["status"] == "identifiable"
     assert report["max_abs_error"] < 1e-10
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_refuses_no_trials(medication, latent_selection, trials):
+    for g in (medication, latent_selection):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verify(g, ["X"], ["Y"], trials=trials)

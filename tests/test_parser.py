@@ -1,6 +1,8 @@
 """The graph description language: parsing, defaults, errors, round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subid import (
     AugmentedAdmg,
@@ -112,3 +114,29 @@ def test_serialize_guards_unexpressible_graph():
 def test_serialize_selection_last_line():
     g = AugmentedAdmg(["A", "T"], [("A", "T")], selection="T")
     assert serialize_graph(g) == "A -> T\nselect T\n"
+
+
+_FUZZ_LINES = st.one_of(
+    st.builds(
+        "{} {} {}".format,
+        st.sampled_from(["A", "B", "C", "S", "_x1", "1A", ""]),
+        st.sampled_from(["->", "<->", "--", "<-", ""]),
+        st.sampled_from(["A", "B", "C", "S", "B2", "#"]),
+    ),
+    st.builds(
+        "{} {}".format,
+        st.sampled_from(["node", "select", "nod"]),
+        st.sampled_from(["A", "S", "9", ""]),
+    ),
+    st.text(max_size=12),
+)
+
+
+@given(st.lists(_FUZZ_LINES, max_size=8).map("\n".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_graph_fuzz_answers_or_raises_documented_errors(text):
+    try:
+        doc = parse_graph(text)
+    except (ParseError, GraphError):
+        return
+    assert parse_graph(serialize_graph(doc.graph)).graph == doc.graph
