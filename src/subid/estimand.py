@@ -19,21 +19,30 @@ internally over variables that the surrounding assembly sums again).
 Construction goes through the lowercase helpers (:func:`prob`,
 :func:`sum_over`, :func:`product`, :func:`quotient`), which canonicalize:
 variable lists are sorted, products are flattened with unit factors dropped,
-factors ordered by rendered form and telescoping quotient chains cancelled,
-empty sums disappear, and trivial quotients collapse.  Every tree built this
-way, or read back with :func:`from_json`, is in canonical form, and
+factors ordered by their text rendering and telescoping quotient chains
+cancelled, empty sums disappear, and trivial quotients collapse.  Every tree
+built this way, or read back with :func:`from_json`, is in canonical form, and
 canonicalizing preserves evaluation exactly on strictly positive tables.
+
+Canonicalizing costs about the size of its output: the text of two factors is
+compared lazily, as streams read only up to their first difference, and
+telescoping partners are looked up in indexes keyed by what a node holds
+itself (its names, or only its type), never by rendering or hashing subtrees.
+The text renderer walks the tree with an explicit stack, so it works at any
+depth; the latex, JSON and free-variable walks raise ``ValueError`` for trees
+nested deeper than the interpreter stack allows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
 import numbers
 import operator
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Union
 
 from .components import is_ancestral, s_components
@@ -113,9 +122,9 @@ def _names(values: Iterable[str], what: str) -> tuple[str, ...]:
     if not isinstance(values, Iterable):
         raise ValueError(f"{what} must be a collection of names, got {values!r}")
     values = list(values)
-    for v in values:
-        if not isinstance(v, str) or not v:
-            raise ValueError(f"{what} must be non-empty strings, got {v!r}")
+    if not all(map(isinstance, values, itertools.repeat(str))) or "" in values:
+        bad = next(v for v in values if not isinstance(v, str) or not v)
+        raise ValueError(f"{what} must be non-empty strings, got {bad!r}")
     return tuple(sorted(set(values)))
 
 
@@ -147,8 +156,11 @@ def sum_over(bound: Iterable[str], body: Estimand) -> Estimand:
 
 
 def product(factors: Iterable[Estimand]) -> Estimand:
-    """Product of factors, flattened, unit-free, ordered by rendered form, with
-    telescoping quotient chains cancelled: (x/y)(y/z) -> x/z, f(g/f) -> g."""
+    """Product of factors, flattened, unit-free, ordered by rendered text, with
+    telescoping quotient chains cancelled: (x/y)(y/z) -> x/z, f(g/f) -> g.
+
+    The order is that of ``render(f, "text")``, but two factors are compared
+    by reading their texts only up to the first difference."""
     flat = _flatten(factors)
     while _telescope(flat):
         flat = _flatten(flat)
@@ -164,26 +176,77 @@ def _flatten(factors: Iterable[Estimand]) -> list[Estimand]:
     for f in factors:
         if isinstance(f, Product):
             flat.extend(f.factors)
-        elif not isinstance(f, One):
+        elif isinstance(f, (Prob, SumOver, Quotient)):
             flat.append(f)
-    flat.sort(key=lambda f: render(f, "text"))
+        elif not isinstance(f, One):
+            raise TypeError(f"not an estimand node: {f!r}")
+    flat.sort(key=functools.cmp_to_key(_text_order))
     return flat
 
 
+def _text_order(a: Estimand, b: Estimand) -> int:
+    """The sign of comparing ``render(a, "text")`` with ``render(b, "text")``,
+    read piece by piece up to the first difference."""
+    left, right = _pieces(a, "Σ"), _pieces(b, "Σ")
+    x = y = ""
+    while True:
+        if not x:
+            x = next(left, None)
+            if x is None:
+                return -1 if y or any(right) else 0
+        if not y:
+            y = next(right, None)
+            if y is None:
+                return 1
+        if x == y:
+            x = y = ""
+        elif x.startswith(y):
+            x, y = x[len(y):], ""
+        elif y.startswith(x):
+            x, y = "", y[len(x):]
+        else:  # the two differ before either ends
+            return -1 if x < y else 1
+
+
+def _shallow(e: Estimand) -> object:
+    """A key that equal estimands share, read off the node itself, not its subtrees."""
+    if isinstance(e, Prob):
+        return e.of, e.given
+    if isinstance(e, SumOver):
+        return SumOver, e.over
+    return type(e)
+
+
 def _telescope(flat: list[Estimand]) -> bool:
-    """Merge the first cancelling pair in scan order, in place, until none is left."""
-    merged, i = False, 0
-    while i < len(flat):
-        fi = flat[i]
-        j = next((j for j, q in enumerate(flat) if j != i and isinstance(q, Quotient) and (
-            fi.den == q.num if isinstance(fi, Quotient) else q.den == fi)), None)
-        if j is None:
-            i += 1
-            continue
+    """Merge the first cancelling pair in scan order, in place, until none is left.
+
+    The partner of ``flat[i]`` is the first quotient ``flat[j]``, j != i, whose
+    numerator equals ``flat[i].den`` (a quotient) or whose denominator equals
+    ``flat[i]`` (anything else).  Candidates come from indexes by shallow key,
+    built again after each merge, when the scan restarts at i = 0.
+    """
+    merged = False
+    while True:
+        by_num: dict[object, list[int]] = {}
+        by_den: dict[object, list[int]] = {}
+        for j, q in enumerate(flat):
+            if isinstance(q, Quotient):
+                by_num.setdefault(_shallow(q.num), []).append(j)
+                by_den.setdefault(_shallow(q.den), []).append(j)
+        for i, fi in enumerate(flat):
+            if isinstance(fi, Quotient):
+                hits = (j for j in by_num.get(_shallow(fi.den), ())
+                        if j != i and flat[j].num == fi.den)
+            else:
+                hits = (j for j in by_den.get(_shallow(fi), ()) if j != i and flat[j].den == fi)
+            j = next(hits, None)
+            if j is not None:
+                break
+        else:
+            return merged
         flat[i] = quotient(fi.num, flat[j].den) if isinstance(fi, Quotient) else flat[j].num
         del flat[j]
-        merged, i = True, 0
-    return merged
+        merged = True
 
 
 def quotient(num: Estimand, den: Estimand) -> Estimand:
@@ -227,8 +290,10 @@ def _free_map(root: Estimand) -> dict[int, tuple[str, ...]]:
 
 
 def free_vars(e: Estimand) -> tuple[str, ...]:
-    """Sorted names that must be assigned before ``e`` can be evaluated."""
-    return _free_map(e)[id(e)]
+    """Sorted names that must be assigned before ``e`` can be evaluated; a tree
+    too deep to walk raises ``ValueError``."""
+    with _nesting_limit():
+        return _free_map(e)[id(e)]
 
 
 def rebound_variables(e: Estimand) -> tuple[str, ...]:
@@ -372,26 +437,42 @@ def evaluate(
 # -- rendering ----------------------------------------------------------------
 
 
-def _text(e: Estimand, sum_symbol: str) -> str:
-    if isinstance(e, One):
-        return "1"
-    if isinstance(e, Prob):
-        given = ",".join(e.given + ("S=1",))
-        return f"P({','.join(e.of)}|{given})"
-    if isinstance(e, SumOver):
-        return f"{sum_symbol}_{{{','.join(e.over)}}} {_text(e.body, sum_symbol)}"
-    if isinstance(e, Product):
-        parts = []
-        for f in e.factors:
-            s = _text(f, sum_symbol)
-            parts.append(f"({s})" if isinstance(f, Quotient) else s)
-        return " ".join(parts)
-    if isinstance(e, Quotient):
-        def side(x: Estimand) -> str:
-            s = _text(x, sum_symbol)
-            return s if isinstance(x, (Prob, One)) else f"({s})"
-        return f"{side(e.num)} / {side(e.den)}"
-    raise TypeError(f"not an estimand node: {e!r}")
+def _pieces(e: Estimand, sum_symbol: str) -> Iterator[str]:
+    """The text form of ``e``, yielded left to right.
+
+    Strings and nodes share one explicit stack, so any nesting depth renders.
+    """
+    stack: list[Estimand | str] = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            yield node
+        elif isinstance(node, Prob):
+            yield f"P({','.join(node.of)}|{','.join(node.given + ('S=1',))})"
+        elif isinstance(node, Quotient):  # pushed last to first
+            for side in (node.den, " / ", node.num):
+                stack += (side,) if isinstance(side, (str, Prob, One)) else (")", side, "(")
+        elif isinstance(node, SumOver):
+            yield f"{sum_symbol}_{{{','.join(node.over)}}} "
+            stack.append(node.body)
+        elif isinstance(node, Product):
+            for k, f in enumerate(reversed(node.factors)):
+                if k:
+                    stack.append(" ")
+                stack += (")", f, "(") if isinstance(f, Quotient) else (f,)
+        elif isinstance(node, One):
+            yield "1"
+        else:
+            raise TypeError(f"not an estimand node: {node!r}")
+
+
+@contextlib.contextmanager
+def _nesting_limit():
+    """Report a tree too deep for the interpreter stack as ``ValueError``."""
+    try:
+        yield
+    except RecursionError:
+        raise ValueError("estimand nesting is too deep") from None
 
 
 def _latex(e: Estimand) -> str:
@@ -414,29 +495,33 @@ def _latex(e: Estimand) -> str:
 
 
 def estimand_to_dict(e: Estimand) -> dict:
+    """The JSON object of ``e``; a tree too deep to walk raises ``ValueError``."""
+    with _nesting_limit():
+        return _to_dict(e)
+
+
+def _to_dict(e: Estimand) -> dict:
     if isinstance(e, One):
         return {"kind": "one"}
     if isinstance(e, Prob):
         return {"kind": "prob", "of": list(e.of), "given": list(e.given)}
     if isinstance(e, SumOver):
-        return {"kind": "sum", "over": list(e.over), "body": estimand_to_dict(e.body)}
+        return {"kind": "sum", "over": list(e.over), "body": _to_dict(e.body)}
     if isinstance(e, Product):
-        return {"kind": "product", "factors": [estimand_to_dict(f) for f in e.factors]}
+        return {"kind": "product", "factors": [_to_dict(f) for f in e.factors]}
     if isinstance(e, Quotient):
         return {
             "kind": "quotient",
-            "num": estimand_to_dict(e.num),
-            "den": estimand_to_dict(e.den),
+            "num": _to_dict(e.num),
+            "den": _to_dict(e.den),
         }
     raise TypeError(f"not an estimand node: {e!r}")
 
 
 def estimand_from_dict(d: Mapping) -> Estimand:
     """Rebuild an estimand through the constructors; malformed input raises ``ValueError``."""
-    try:
+    with _nesting_limit():
         return _from_dict(d)
-    except RecursionError:
-        raise ValueError("estimand nesting is too deep") from None
 
 
 def _from_dict(d: object) -> Estimand:
@@ -460,24 +545,29 @@ def _from_dict(d: object) -> Estimand:
 
 
 def to_json(e: Estimand) -> str:
-    return json.dumps(estimand_to_dict(e), sort_keys=True, separators=(",", ":"))
+    """Compact JSON text of ``e``; a tree too deep to walk raises ``ValueError``."""
+    with _nesting_limit():
+        return json.dumps(_to_dict(e), sort_keys=True, separators=(",", ":"))
 
 
 def from_json(text: str) -> Estimand:
     """Parse :func:`to_json` output; malformed or too deeply nested text raises ``ValueError``."""
-    try:
+    with _nesting_limit():
         d = json.loads(text)
-    except RecursionError:
-        raise ValueError("estimand nesting is too deep") from None
     return estimand_from_dict(d)
 
 
 def render(e: Estimand, fmt: str = "text", *, unicode_sum: bool = True) -> str:
-    """Render as ``text`` (``Σ``/``Sum`` prefix form), ``latex``, or ``json``."""
+    """Render as ``text`` (``Σ``/``Sum`` prefix form), ``latex``, or ``json``.
+
+    Text renders at any depth; latex and json raise ``ValueError`` for a tree
+    too deep to walk.
+    """
     if fmt == "text":
-        return _text(e, "Σ" if unicode_sum else "Sum")
+        return "".join(_pieces(e, "Σ" if unicode_sum else "Sum"))
     if fmt == "latex":
-        return _latex(e)
+        with _nesting_limit():
+            return _latex(e)
     if fmt == "json":
         return to_json(e)
     raise ValueError(f"unknown render format {fmt!r} (expected text, latex, or json)")

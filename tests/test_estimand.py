@@ -1,7 +1,9 @@
 """Estimand trees: construction (telescoping included), rendering, evaluation,
 serialization, and the symbolic post-intervention factors built on top of them."""
 
+import hashlib
 import json
+import random
 import re
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from subid import (
     ONE,
+    AugmentedAdmg,
     GraphError,
     One,
     PositivityError,
@@ -65,6 +68,15 @@ def test_bare_strings_rejected_as_name_lists():
         from_json('{"kind":"prob","of":"AB"}')
 
 
+def test_name_validation_reports_the_first_bad_element():
+    with pytest.raises(ValueError, match=re.escape("outcome variables must be non-empty strings, got ''")):
+        prob(["A", "", 3])
+    with pytest.raises(ValueError, match=re.escape("outcome variables must be non-empty strings, got ['A']")):
+        prob([["A"]])
+    with pytest.raises(ValueError, match=re.escape("bound variables must be non-empty strings, got 3")):
+        sum_over(["A", 3, ""], prob(["A"]))
+
+
 def test_prob_sorts_and_validates():
     p = prob(["B", "A"], ["Z"])
     assert p == Prob(("A", "B"), ("Z",))
@@ -90,6 +102,16 @@ def test_product_flattens_and_sorts():
     assert product([ONE, a, ONE]) is a
     assert product([b, product([a, b])]) == Product((a, b, b))
     assert product([b, a]) == product([a, b])
+    # a text that is a strict prefix of another sorts first
+    assert product([quotient(a, b), a]) == Product((a, quotient(a, b)))
+    # texts whose pieces end at different places: " " against " / "
+    over = sum_over(["X"], quotient(a, b))
+    for second in (b, quotient(b, prob(["C"]))):
+        times = sum_over(["X"], product([a, second]))
+        want = tuple(sorted([times, over], key=render))
+        assert product([times, over]).factors == product([over, times]).factors == want
+    with pytest.raises(TypeError, match="not an estimand node"):
+        product([object()])
 
 
 def test_quotient_identities():
@@ -111,6 +133,41 @@ def test_rebound_variables_reports_shadowing():
     assert rebound_variables(sum_over(["A"], product([prob(["A"]), inner]))) == ("A",)
     assert rebound_variables(sum_over(["A"], inner)) == ("A",)
     assert rebound_variables(inner) == ()
+
+
+# -- trees nested deeper than the interpreter stack ------------------------------
+
+
+def _deep_quotient(depth):
+    e = prob(["A"])
+    for _ in range(depth):
+        e = quotient(e, prob(["B"]))
+    return e
+
+
+def test_deep_trees_render_as_text_and_multiply():
+    e = _deep_quotient(1500)
+    inner = "P(A|S=1) / P(B|S=1)"
+    assert render(e) == "(" * 1499 + inner + ") / P(B|S=1)" * 1499
+    assert render(e, "text", unicode_sum=False) == render(e)
+    c = prob(["C"])
+    got = product([c, e])
+    assert isinstance(got, Product) and got.factors[0] is e and got.factors[1] == c
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda e: render(e, "latex"), lambda e: render(e, "json"), to_json, estimand_to_dict, free_vars],
+    ids=["latex", "render-json", "to_json", "estimand_to_dict", "free_vars"],
+)
+def test_deep_trees_answer_or_raise_value_error(call):
+    e = _deep_quotient(1500)
+    try:
+        out = call(e)
+    except ValueError as exc:
+        assert str(exc) == "estimand nesting is too deep"
+    else:
+        assert out
 
 
 # -- rendering -----------------------------------------------------------------
@@ -423,6 +480,61 @@ def test_telescoping_preserves_evaluation_on_positive_tables():
         assert evaluate(canon, table, fixed) == pytest.approx(want, abs=1e-12)
 
 
+def _chain_graph(n):
+    """``V0 -> ... -> Vn`` with ``Vi <-> Vi+2`` and ``V0 -> S``, selection S."""
+    return AugmentedAdmg(
+        [f"V{i}" for i in range(n + 1)] + ["S"],
+        [(f"V{i}", f"V{i + 1}") for i in range(n)] + [("V0", "S")],
+        [(f"V{i}", f"V{i + 2}") for i in range(n - 1)],
+        selection="S",
+    )
+
+
+def test_chain_estimand_canonical_form_is_pinned():
+    """The text and JSON of a long telescoped estimand, by digest: any change
+    of factor order or of cancellation in ``product`` shows here."""
+    e = s_id(_chain_graph(64), ["V1"], ["V64"]).estimand
+    digests = {fmt: hashlib.sha256(render(e, fmt).encode()).hexdigest() for fmt in ("text", "json")}
+    assert digests == {
+        "text": "80c2c43cd4c265ba5b2f37ac8c8de987c3dbfc5fd118d28ac6165ab7b8d666a1",
+        "json": "3138644196cbd558be1f395afff4dd67c02e58f68f3957f70395535b40554eee",
+    }
+
+
+def _link(rng, i):
+    """A distinct tree whose shallow key (node type, names at the node) it often
+    shares with other links: sums over one name, quotients, products."""
+    own = prob([f"A{i}"], ["X"])
+    kind = rng.randrange(5)
+    if kind == 0:
+        return prob([f"A{i}"])
+    if kind == 1:
+        return sum_over(["X"], own)
+    if kind == 2:
+        return quotient(own, prob(["X"]))
+    if kind == 3:
+        return product([own, prob(["X"])])
+    return quotient(prob(["X"]), sum_over(["X"], own))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_product_matches_reference_telescoping_on_long_lists(seed):
+    rng = random.Random(seed)
+    links = [_link(rng, i) for i in range(121)]
+    chain = [quotient(x, y) for x, y in zip(links, links[1:])]
+    cases = [
+        chain + [links[-1]],  # full chain
+        [q for k, q in enumerate(chain) if k % 13] + links[::7],  # broken chain
+        chain[:90] + rng.sample(chain[:90], 30),  # duplicate quotients
+        chain[::2] + links[1::2],  # f (g/f) pairs
+        [quotient(q, links[0]) for q in chain[:60]] + chain[60:] + links[:20],  # nested quotients
+    ]
+    for factors in cases:
+        assert len(factors) >= 100
+        rng.shuffle(factors)
+        assert product(factors) == telescope_reference(factors)
+
+
 # -- hypothesis: structural properties over random trees ------------------------
 
 
@@ -487,6 +599,36 @@ def chained_factor_lists(names=("A", "B", "C", "D")):
 @settings(max_examples=150, deadline=None)
 def test_product_matches_reference_telescoping(factors):
     assert product(factors) == telescope_reference(factors)
+
+
+_TAIL = [f"T{i:02d}" for i in range(40)]
+_BODY = product([prob(["A"], _TAIL), prob(["B"], _TAIL)])
+
+
+def text_ordered_factor_lists():
+    """Factor lists whose texts share long prefixes or suffixes, or are strict
+    prefixes of one another (f and f / P(Z|S=1)).  Nothing cancels: every
+    denominator is a P(Z...) that is neither a factor nor a numerator."""
+    names = st.sets(st.sampled_from(["A", "B", "C"]), min_size=1)
+    base = st.one_of(
+        estimands().filter(lambda e: isinstance(e, (Prob, SumOver))),
+        st.builds(lambda of: prob(of, _TAIL), names),
+        st.builds(lambda over: sum_over(over, _BODY), names),
+    )
+    den = st.sets(st.sampled_from(["Z1", "Z2", "Z3"]), min_size=1).map(prob)
+    shape = st.sampled_from(["plain", "quotient", "pair"])
+
+    def item(f, d, how):
+        return {"plain": [f], "quotient": [quotient(f, d)], "pair": [f, quotient(f, d)]}[how]
+
+    items = st.lists(st.builds(item, base, den, shape), min_size=2, max_size=8)
+    return items.map(lambda groups: [f for g in groups for f in g]).flatmap(st.permutations)
+
+
+@given(text_ordered_factor_lists())
+@settings(max_examples=150, deadline=None)
+def test_product_orders_factors_by_text(factors):
+    assert product(factors).factors == tuple(sorted(factors, key=lambda f: render(f, "text")))
 
 
 # -- symbolic post-intervention factors -----------------------------------------
