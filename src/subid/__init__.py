@@ -38,7 +38,6 @@ from .estimand import (
     qs_decompose,
     qs_marginalize,
     quotient,
-    rebound_variables,
     render,
     sum_over,
     to_json,
@@ -113,7 +112,6 @@ __all__ = [
     "qs_marginalize",
     "quotient",
     "random_scm",
-    "rebound_variables",
     "render",
     "s_components",
     "s_id",

@@ -28,9 +28,10 @@ Canonicalizing costs about the size of its output: the text of two factors is
 compared lazily, as streams read only up to their first difference, and
 telescoping partners are looked up in indexes keyed by what a node holds
 itself (its names, or only its type), never by rendering or hashing subtrees.
-The text renderer walks the tree with an explicit stack, so it works at any
-depth; the latex, JSON and free-variable walks raise ``ValueError`` for trees
-nested deeper than the interpreter stack allows.
+Every walk over a tree uses an explicit stack, so free variables, evaluation,
+text, latex and the JSON object work at any depth.  Only JSON text, which the
+``json`` module writes and reads recursively, and :func:`estimand_from_dict`
+raise ``ValueError`` for trees nested deeper than the interpreter stack allows.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ __all__ = [
     "product",
     "quotient",
     "free_vars",
-    "rebound_variables",
     "evaluate",
     "render",
     "to_json",
@@ -261,58 +261,48 @@ def quotient(num: Estimand, den: Estimand) -> Estimand:
 # -- structural queries ------------------------------------------------------
 
 
+def _postorder(root: Estimand) -> Iterator[Estimand]:
+    """Each distinct node of ``root`` once (by identity), children before their
+    parent and left to right, from an explicit stack, so any depth walks."""
+    done: set[int] = set()
+    stack: list[tuple[Estimand, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in done:
+            continue
+        if expanded:
+            done.add(id(node))
+            yield node
+            continue
+        stack.append((node, True))
+        if isinstance(node, SumOver):
+            stack.append((node.body, False))
+        elif isinstance(node, Product):
+            stack += ((f, False) for f in reversed(node.factors))
+        elif isinstance(node, Quotient):
+            stack += ((node.den, False), (node.num, False))
+
+
 def _free_map(root: Estimand) -> dict[int, tuple[str, ...]]:
     fmap: dict[int, tuple[str, ...]] = {}
-
-    def walk(node: Estimand) -> tuple[str, ...]:
-        key = id(node)
-        cached = fmap.get(key)
-        if cached is not None:
-            return cached
+    for node in _postorder(root):
         if isinstance(node, Prob):
             fv = set(node.of) | set(node.given)
         elif isinstance(node, SumOver):
-            fv = set(walk(node.body)) - set(node.over)
+            fv = set(fmap[id(node.body)]) - set(node.over)
         elif isinstance(node, Product):
-            fv = set()
-            for f in node.factors:
-                fv |= set(walk(f))
+            fv = set().union(*(fmap[id(f)] for f in node.factors))
         elif isinstance(node, Quotient):
-            fv = set(walk(node.num)) | set(walk(node.den))
+            fv = set(fmap[id(node.num)]) | set(fmap[id(node.den)])
         else:
             fv = set()
-        out = tuple(sorted(fv))
-        fmap[key] = out
-        return out
-
-    walk(root)
+        fmap[id(node)] = tuple(sorted(fv))
     return fmap
 
 
 def free_vars(e: Estimand) -> tuple[str, ...]:
-    """Sorted names that must be assigned before ``e`` can be evaluated; a tree
-    too deep to walk raises ``ValueError``."""
-    with _nesting_limit():
-        return _free_map(e)[id(e)]
-
-
-def rebound_variables(e: Estimand) -> tuple[str, ...]:
-    """Names bound by nested sums on a single root-to-leaf path (shadowing)."""
-    hits: set[str] = set()
-
-    def walk(node: Estimand, bound: frozenset[str]) -> None:
-        if isinstance(node, SumOver):
-            hits.update(set(node.over) & bound)
-            walk(node.body, bound | set(node.over))
-        elif isinstance(node, Product):
-            for f in node.factors:
-                walk(f, bound)
-        elif isinstance(node, Quotient):
-            walk(node.num, bound)
-            walk(node.den, bound)
-
-    walk(e, frozenset())
-    return tuple(sorted(hits))
+    """Sorted names that must be assigned before ``e`` can be evaluated."""
+    return _free_map(e)[id(e)]
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -348,39 +338,34 @@ def _tabulate(e: Estimand, table: ProbabilityTable) -> dict[int, tuple]:
     def divide(num, den):
         return num / den, False if den.all() else den == 0.0
 
-    def tab(node: Estimand) -> tuple:
-        if id(node) in memo:
-            return memo[id(node)]
-        if isinstance(node, Prob):
-            axes(node.of + node.given)
-            val, zero = table.marginal_array(tuple(sorted(node.of + node.given))), False
-            if node.given:
-                val, zero = divide(val, table.marginal_array(node.given))
-        elif isinstance(node, SumOver):
-            body, zero = tab(node.body)
-            over = dict(zip(node.over, axes(node.over)))
-            summed = tuple(i for i in over.values() if body.shape[i] > 1)
-            val = body.sum(axis=summed, keepdims=True) if summed else body
-            if zero is not False and summed:
-                zero = zero.any(axis=summed, keepdims=True)
-            for v, i in over.items():  # bound but unused: counts its domain size
-                if body.shape[i] == 1:
-                    val = val * table.domain_size(v)
-        elif isinstance(node, Product):
-            parts = [tab(f) for f in node.factors]
-            val = functools.reduce(np.multiply, [p[0] for p in parts])
-            zero = functools.reduce(operator.or_, [p[1] for p in parts])
-        elif isinstance(node, Quotient):
-            (num, num_zero), (den, den_zero) = tab(node.num), tab(node.den)
-            val, hit = divide(num, den)
-            zero = num_zero | den_zero | hit
-        else:
-            val, zero = np.ones((1,) * len(axis)), False
-        memo[id(node)] = (val, zero)
-        return val, zero
-
     with np.errstate(divide="ignore", invalid="ignore"):  # masked cells only
-        tab(e)
+        for node in _postorder(e):
+            if isinstance(node, Prob):
+                axes(node.of + node.given)
+                val, zero = table.marginal_array(tuple(sorted(node.of + node.given))), False
+                if node.given:
+                    val, zero = divide(val, table.marginal_array(node.given))
+            elif isinstance(node, SumOver):
+                body, zero = memo[id(node.body)]
+                over = dict(zip(node.over, axes(node.over)))
+                summed = tuple(i for i in over.values() if body.shape[i] > 1)
+                val = body.sum(axis=summed, keepdims=True) if summed else body
+                if zero is not False and summed:
+                    zero = zero.any(axis=summed, keepdims=True)
+                for v, i in over.items():  # bound but unused: counts its domain size
+                    if body.shape[i] == 1:
+                        val = val * table.domain_size(v)
+            elif isinstance(node, Product):
+                parts = [memo[id(f)] for f in node.factors]
+                val = functools.reduce(np.multiply, [p[0] for p in parts])
+                zero = functools.reduce(operator.or_, [p[1] for p in parts])
+            elif isinstance(node, Quotient):
+                (num, num_zero), (den, den_zero) = memo[id(node.num)], memo[id(node.den)]
+                val, hit = divide(num, den)
+                zero = num_zero | den_zero | hit
+            else:
+                val, zero = np.ones((1,) * len(axis)), False
+            memo[id(node)] = (val, zero)
     return memo
 
 
@@ -413,25 +398,24 @@ def evaluate(
         zero = memo[id(node)][1]
         return zero is not False and bool(at(zero, env))
 
-    def culprit(node: Estimand, env: dict[str, int]) -> PositivityError:
-        # the first zero denominator met when the tree is read in order
+    if not masked(e, env):
+        return float(at(memo[id(e)][0], env))
+    node = e  # descend to the first zero denominator met when the tree is read in order
+    while True:
         if isinstance(node, Prob):
             cond = {v: env[v] for v in node.given}
-            return PositivityError(f"conditioning event has probability zero: {cond}")
+            raise PositivityError(f"conditioning event has probability zero: {cond}")
         if isinstance(node, SumOver):
             combos = itertools.product(*(range(table.domain_size(v)) for v in node.over))
             inners = ({**env, **dict(zip(node.over, c))} for c in combos)
-            return culprit(node.body, next(i for i in inners if masked(node.body, i)))
-        if isinstance(node, Product):
-            return culprit(next(f for f in node.factors if masked(f, env)), env)
-        if not masked(node.den, env) and at(memo[id(node.den)][0], env) == 0.0:
+            node, env = node.body, next(i for i in inners if masked(node.body, i))
+        elif isinstance(node, Product):
+            node = next(f for f in node.factors if masked(f, env))
+        elif not masked(node.den, env) and at(memo[id(node.den)][0], env) == 0.0:
             den_env = {v: env[v] for v in fmap[id(node.den)]}
-            return PositivityError(f"denominator evaluates to zero at {den_env}")
-        return culprit(node.den if masked(node.den, env) else node.num, env)
-
-    if masked(e, env):
-        raise culprit(e, env)
-    return float(at(memo[id(e)][0], env))
+            raise PositivityError(f"denominator evaluates to zero at {den_env}")
+        else:
+            node = node.den if masked(node.den, env) else node.num
 
 
 # -- rendering ----------------------------------------------------------------
@@ -476,46 +460,46 @@ def _nesting_limit():
 
 
 def _latex(e: Estimand) -> str:
-    if isinstance(e, One):
-        return "1"
-    if isinstance(e, Prob):
-        given = ", ".join(e.given + ("S=1",))
-        return f"P({', '.join(e.of)} \\mid {given})"
-    if isinstance(e, SumOver):
-        return f"\\sum_{{{', '.join(e.over)}}} {_latex(e.body)}"
-    if isinstance(e, Product):
-        parts = []
-        for f in e.factors:
-            s = _latex(f)
-            parts.append(f"\\left({s}\\right)" if isinstance(f, SumOver) else s)
-        return " ".join(parts)
-    if isinstance(e, Quotient):
-        return f"\\frac{{{_latex(e.num)}}}{{{_latex(e.den)}}}"
-    raise TypeError(f"not an estimand node: {e!r}")
+    out: dict[int, str] = {}
+    for node in _postorder(e):
+        if isinstance(node, One):
+            s = "1"
+        elif isinstance(node, Prob):
+            s = f"P({', '.join(node.of)} \\mid {', '.join(node.given + ('S=1',))})"
+        elif isinstance(node, SumOver):
+            s = f"\\sum_{{{', '.join(node.over)}}} {out[id(node.body)]}"
+        elif isinstance(node, Product):
+            s = " ".join(
+                f"\\left({out[id(f)]}\\right)" if isinstance(f, SumOver) else out[id(f)]
+                for f in node.factors
+            )
+        elif isinstance(node, Quotient):
+            s = f"\\frac{{{out[id(node.num)]}}}{{{out[id(node.den)]}}}"
+        else:
+            raise TypeError(f"not an estimand node: {node!r}")
+        out[id(node)] = s
+    return out[id(e)]
 
 
 def estimand_to_dict(e: Estimand) -> dict:
-    """The JSON object of ``e``; a tree too deep to walk raises ``ValueError``."""
-    with _nesting_limit():
-        return _to_dict(e)
-
-
-def _to_dict(e: Estimand) -> dict:
-    if isinstance(e, One):
-        return {"kind": "one"}
-    if isinstance(e, Prob):
-        return {"kind": "prob", "of": list(e.of), "given": list(e.given)}
-    if isinstance(e, SumOver):
-        return {"kind": "sum", "over": list(e.over), "body": _to_dict(e.body)}
-    if isinstance(e, Product):
-        return {"kind": "product", "factors": [_to_dict(f) for f in e.factors]}
-    if isinstance(e, Quotient):
-        return {
-            "kind": "quotient",
-            "num": _to_dict(e.num),
-            "den": _to_dict(e.den),
-        }
-    raise TypeError(f"not an estimand node: {e!r}")
+    """The JSON object of ``e``, at any depth.  A subtree that ``e`` holds more
+    than once (the same object) maps to one shared dict."""
+    out: dict[int, dict] = {}
+    for node in _postorder(e):
+        if isinstance(node, One):
+            d = {"kind": "one"}
+        elif isinstance(node, Prob):
+            d = {"kind": "prob", "of": list(node.of), "given": list(node.given)}
+        elif isinstance(node, SumOver):
+            d = {"kind": "sum", "over": list(node.over), "body": out[id(node.body)]}
+        elif isinstance(node, Product):
+            d = {"kind": "product", "factors": [out[id(f)] for f in node.factors]}
+        elif isinstance(node, Quotient):
+            d = {"kind": "quotient", "num": out[id(node.num)], "den": out[id(node.den)]}
+        else:
+            raise TypeError(f"not an estimand node: {node!r}")
+        out[id(node)] = d
+    return out[id(e)]
 
 
 def estimand_from_dict(d: Mapping) -> Estimand:
@@ -545,9 +529,10 @@ def _from_dict(d: object) -> Estimand:
 
 
 def to_json(e: Estimand) -> str:
-    """Compact JSON text of ``e``; a tree too deep to walk raises ``ValueError``."""
+    """Compact JSON text of ``e``; a tree too deep for the ``json`` module raises
+    ``ValueError``."""
     with _nesting_limit():
-        return json.dumps(_to_dict(e), sort_keys=True, separators=(",", ":"))
+        return json.dumps(estimand_to_dict(e), sort_keys=True, separators=(",", ":"))
 
 
 def from_json(text: str) -> Estimand:
@@ -560,14 +545,13 @@ def from_json(text: str) -> Estimand:
 def render(e: Estimand, fmt: str = "text", *, unicode_sum: bool = True) -> str:
     """Render as ``text`` (``Σ``/``Sum`` prefix form), ``latex``, or ``json``.
 
-    Text renders at any depth; latex and json raise ``ValueError`` for a tree
-    too deep to walk.
+    Text and latex render at any depth; json raises ``ValueError`` for a tree
+    too deep for the ``json`` module.
     """
     if fmt == "text":
         return "".join(_pieces(e, "Σ" if unicode_sum else "Sum"))
     if fmt == "latex":
-        with _nesting_limit():
-            return _latex(e)
+        return _latex(e)
     if fmt == "json":
         return to_json(e)
     raise ValueError(f"unknown render format {fmt!r} (expected text, latex, or json)")

@@ -121,6 +121,21 @@ def _query_sets(
     return x, y
 
 
+def _separation_witness(
+    g: AugmentedAdmg, x: tuple[str, ...], y: tuple[str, ...], anc: set[str]
+) -> SeparationWitness | None:
+    """The requirement of :func:`sid_separation` that the query violates, or
+    None when it holds; ``anc`` is the selection ancestry."""
+    sel = _selection(g)
+    xa = tuple(v for v in x if v in anc)
+    xn = tuple(v for v in x if v not in anc)
+    if not xa or m_separated(g.edge_surgery(bar_in=xn, bar_out=xa), xa, y, xn + (sel,)):
+        return None
+    return SeparationWitness(
+        left=xa, right=y, given=tuple(sorted(xn + (sel,))), bar_in=xn, bar_out=xa
+    )
+
+
 def sid_separation(
     g: AugmentedAdmg, treatment: Iterable[str], outcome: Iterable[str]
 ) -> bool:
@@ -133,14 +148,7 @@ def sid_separation(
     means the effect is not identifiable from sub-population data at all.
     """
     x, y = _query_sets(g, treatment, outcome)
-    sel = _selection(g)
-    anc, _ = g.split_by_selection()
-    xa = tuple(v for v in x if v in set(anc))
-    xn = tuple(v for v in x if v not in set(anc))
-    if not xa:
-        return True
-    cut = g.edge_surgery(bar_in=xn, bar_out=xa)
-    return m_separated(cut, xa, y, xn + (sel,))
+    return _separation_witness(g, x, y, set(g.split_by_selection()[0])) is None
 
 
 def _shrink(g: AugmentedAdmg, c: tuple[str, ...], factor: QsFactor) -> QsFactor:
@@ -197,24 +205,13 @@ def s_id(
     to any value.
     """
     x, y = _query_sets(g, treatment, outcome)
-    sel = _selection(g)
-    anc, non_anc = g.split_by_selection()
-    anc_set, non_anc_set = set(anc), set(non_anc)
-    xa = tuple(v for v in x if v in anc_set)
-    xn = tuple(v for v in x if v in non_anc_set)
-    ya = tuple(v for v in y if v in anc_set)
-    yn = tuple(v for v in y if v in non_anc_set)
+    anc, non_anc = map(set, g.split_by_selection())
+    witness = _separation_witness(g, x, y, anc)
+    if witness is not None:
+        return IdentifyResult("fail", witness=witness)
 
-    if not sid_separation(g, x, y):
-        return IdentifyResult(
-            "fail",
-            witness=SeparationWitness(
-                left=xa, right=y, given=tuple(sorted(xn + (sel,))),
-                bar_in=xn, bar_out=xa,
-            ),
-        )
-
-    d = g.ancestors(yn, within=non_anc_set - set(xn))
+    yn = tuple(v for v in y if v in non_anc)
+    d = g.ancestors(yn, within=non_anc - set(x))
     enclosing = qs_decompose(g, qs_base(g))
     parts: list[QsFactor] = []
     for comp in s_components(g, d):
@@ -224,10 +221,9 @@ def s_id(
             return IdentifyResult("fail", witness=HedgeWitness(comp, got.scope))
         parts.append(got)
 
-    marginal = tuple(sorted(anc_set - set(xa) - set(ya)))
-    outer_prob = prob(ya + marginal, xa)
+    outer_prob = prob(anc - set(x), anc & set(x))
     inner = sum_over(set(d) - set(yn), product(p.expr for p in parts))
-    est = sum_over(marginal, product([outer_prob, inner]))
+    est = sum_over(anc - set(x) - set(y), product([outer_prob, inner]))
     return IdentifyResult("identifiable", estimand=est)
 
 

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive: subset enumeration for hedges,
 per-assignment mutilated joints for ground-truth factors, a scalar
-estimand evaluator, a plain-loop telescoping fixpoint, member-by-member
-c-factor telescoping.  The point is that none of it shares code paths with
-the implementations under test.
+estimand evaluator, recursive LaTeX and JSON-object renderers, a plain-loop
+telescoping fixpoint, member-by-member c-factor telescoping.  The point is
+that none of it shares code paths with the implementations under test.
 """
 
 import itertools
@@ -14,6 +14,7 @@ import numpy as np
 from subid import (
     ONE,
     AugmentedAdmg,
+    One,
     PositivityError,
     Prob,
     ProbabilityTable,
@@ -173,6 +174,40 @@ def evaluate_scalar(e, table, fixed=None):
         return val
 
     return ev(e, env0)
+
+
+# -- recursive renderers ----------------------------------------------------------
+
+
+def latex_reference(e):
+    """``render(e, "latex")`` by plain recursion, every occurrence rendered anew."""
+    if isinstance(e, One):
+        return "1"
+    if isinstance(e, Prob):
+        given = ", ".join(e.given + ("S=1",))
+        return f"P({', '.join(e.of)} \\mid {given})"
+    if isinstance(e, SumOver):
+        return f"\\sum_{{{', '.join(e.over)}}} {latex_reference(e.body)}"
+    if isinstance(e, Product):
+        parts = []
+        for f in e.factors:
+            s = latex_reference(f)
+            parts.append(f"\\left({s}\\right)" if isinstance(f, SumOver) else s)
+        return " ".join(parts)
+    return f"\\frac{{{latex_reference(e.num)}}}{{{latex_reference(e.den)}}}"
+
+
+def to_dict_reference(e):
+    """``estimand_to_dict(e)`` by plain recursion, a fresh dict per occurrence."""
+    if isinstance(e, One):
+        return {"kind": "one"}
+    if isinstance(e, Prob):
+        return {"kind": "prob", "of": list(e.of), "given": list(e.given)}
+    if isinstance(e, SumOver):
+        return {"kind": "sum", "over": list(e.over), "body": to_dict_reference(e.body)}
+    if isinstance(e, Product):
+        return {"kind": "product", "factors": [to_dict_reference(f) for f in e.factors]}
+    return {"kind": "quotient", "num": to_dict_reference(e.num), "den": to_dict_reference(e.den)}
 
 
 # -- telescoping -----------------------------------------------------------------

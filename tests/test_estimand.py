@@ -34,7 +34,6 @@ from subid import (
     qs_marginalize,
     quotient,
     random_scm,
-    rebound_variables,
     render,
     s_id,
     sum_over,
@@ -44,6 +43,7 @@ from subid import (
 from helpers import (
     evaluate_scalar,
     iter_assignments,
+    latex_reference,
     qs_decompose_reference,
     qs_ground_truth,
     random_admg,
@@ -51,6 +51,7 @@ from helpers import (
     random_query,
     random_table,
     telescope_reference,
+    to_dict_reference,
 )
 
 
@@ -128,13 +129,6 @@ def test_free_vars():
     assert free_vars(quotient(prob(["A"]), prob(["B"]))) == ("A", "B")
 
 
-def test_rebound_variables_reports_shadowing():
-    inner = sum_over(["A"], prob(["A", "B"]))
-    assert rebound_variables(sum_over(["A"], product([prob(["A"]), inner]))) == ("A",)
-    assert rebound_variables(sum_over(["A"], inner)) == ("A",)
-    assert rebound_variables(inner) == ()
-
-
 # -- trees nested deeper than the interpreter stack ------------------------------
 
 
@@ -155,10 +149,35 @@ def test_deep_trees_render_as_text_and_multiply():
     assert isinstance(got, Product) and got.factors[0] is e and got.factors[1] == c
 
 
+def _innermost_numerator(d):
+    for _ in range(1500):  # plain loop: == on nested dicts recurses
+        assert d["kind"] == "quotient"
+        assert d["den"] == {"kind": "prob", "of": ["B"], "given": []}
+        d = d["num"]
+    return d
+
+
 @pytest.mark.parametrize(
-    "call",
-    [lambda e: render(e, "latex"), lambda e: render(e, "json"), to_json, estimand_to_dict, free_vars],
-    ids=["latex", "render-json", "to_json", "estimand_to_dict", "free_vars"],
+    "call, want",
+    [
+        (
+            lambda e: render(e, "latex"),
+            "\\frac{" * 1500 + "P(A \\mid S=1)" + "}{P(B \\mid S=1)}" * 1500,
+        ),
+        (
+            lambda e: _innermost_numerator(estimand_to_dict(e)),
+            {"kind": "prob", "of": ["A"], "given": []},
+        ),
+        (free_vars, ("A", "B")),
+    ],
+    ids=["latex", "estimand_to_dict", "free_vars"],
+)
+def test_deep_trees_answer(call, want):
+    assert call(_deep_quotient(1500)) == want
+
+
+@pytest.mark.parametrize(
+    "call", [lambda e: render(e, "json"), to_json], ids=["render-json", "to_json"]
 )
 def test_deep_trees_answer_or_raise_value_error(call):
     e = _deep_quotient(1500)
@@ -168,6 +187,28 @@ def test_deep_trees_answer_or_raise_value_error(call):
         assert str(exc) == "estimand nesting is too deep"
     else:
         assert out
+
+
+def _deep_reciprocal(depth):
+    e = prob(["A"])
+    for _ in range(depth):
+        e = quotient(prob(["B"]), e)
+    return e  # P(A) again at every even depth
+
+
+def test_deep_trees_evaluate():
+    positive = ProbabilityTable(("A", "B"), (2, 2), np.array([[0.125, 0.125], [0.25, 0.5]]))
+    e = _deep_reciprocal(1500)
+    for fixed in iter_assignments(("A", "B"), positive.domain_size):
+        want = positive.prob({"A": fixed["A"]})
+        assert evaluate(e, positive, fixed) == pytest.approx(want, rel=1e-12)
+    no_a0 = ProbabilityTable(("A", "B"), (2, 2), np.array([[0.0, 0.0], [0.5, 0.5]]))
+    messages = []
+    for tree in (_deep_reciprocal(2), e):
+        with pytest.raises(PositivityError) as caught:
+            evaluate(tree, no_a0, {"A": 0, "B": 1})
+        messages.append(str(caught.value))
+    assert messages == ["denominator evaluates to zero at {'A': 0}"] * 2
 
 
 # -- rendering -----------------------------------------------------------------
@@ -208,6 +249,19 @@ def test_render_latex():
     assert render(e2, "latex") == (
         "P(Z \\mid S=1) \\left(\\sum_{A} P(A \\mid Z, S=1)\\right)"
     )
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_latex_and_dict_match_recursive_references(seed):
+    # s_id estimands and qs_decompose factors hold shared subtrees (the prefix
+    # marginals of one factor share its expression); random trees do not
+    rng = np.random.default_rng(seed)
+    _, exprs = _identification_estimands(rng)
+    exprs.append(random_estimand(rng, "ABCDE", depth=int(rng.integers(0, 5))))
+    for e in exprs:
+        assert render(e, "latex") == latex_reference(e)
+        assert estimand_to_dict(e) == to_dict_reference(e)
 
 
 def test_render_unknown_format():
@@ -353,6 +407,9 @@ def test_evaluate_rejects_variables_missing_from_the_table():
         evaluate(prob(["C"]), TABLE, {"C": 0})
     with pytest.raises(ValueError, match="table has no variable 'C'"):
         evaluate(sum_over(["C"], prob(["A"])), TABLE, {"A": 0})
+    # the tree is read in order: the numerator before the denominator
+    with pytest.raises(ValueError, match="table has no variable 'D'"):
+        evaluate(quotient(prob(["D"]), prob(["C"])), TABLE, {"C": 0, "D": 0})
 
 
 class CountingTable:
@@ -375,6 +432,26 @@ def test_evaluate_memoizes_subtrees():
     assert evaluate_scalar(e, counting) == pytest.approx(1.0)
     # P(B=0), P(B=1) once each, P(A=0), P(A=1) once each: four lookups total
     assert counting.calls == 4
+
+
+class MarginalLog:
+    """A table that records the marginals ``evaluate`` asks for."""
+
+    def __init__(self, inner):
+        self.inner, self.keeps = inner, []
+        self.variables, self.domain_size = inner.variables, inner.domain_size
+
+    def marginal_array(self, keep):
+        self.keeps.append(keep)
+        return self.inner.marginal_array(keep)
+
+
+def test_evaluate_tabulates_a_shared_subtree_once():
+    table = MarginalLog(TABLE)
+    p = prob(["A"], ["B"])
+    e = quotient(sum_over(["A"], p), p)  # the same object twice
+    assert evaluate(e, table, {"A": 0, "B": 0}) == pytest.approx(4.0)  # 1 / (0.1 / 0.4)
+    assert table.keeps == [("A", "B"), ("B",)]
 
 
 # -- tensor evaluation against the scalar cross-check ---------------------------

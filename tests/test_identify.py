@@ -95,6 +95,10 @@ def test_sid_separation_failure_surfaces_as_witness(hedges):
     # the witness re-checks: the separation really fails after the surgery
     cut = hedges.edge_surgery(bar_in=w.bar_in, bar_out=w.bar_out)
     assert not m_separated(cut, w.left, w.right, w.given)
+    # a treatment outside the selection ancestry joins the sorted conditioning set
+    assert s_id(hedges, ["X2", "Z2"], ["Y2"]).witness == SeparationWitness(
+        left=("Z2",), right=("Y2",), given=("S", "X2"), bar_in=("X2",), bar_out=("Z2",)
+    )
 
 
 # -- single-component recursion ---------------------------------------------------
