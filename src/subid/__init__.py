@@ -53,19 +53,22 @@ from .identify import (
     s_recover,
     sid_separation,
 )
-from .oracle import (
-    DiscreteScm,
-    ProbabilityTable,
-    demo_graph_text,
-    demo_model,
-    latent_name,
-    random_scm,
-    verify,
-)
 from .parser import GraphDocument, ParseError, parse_graph, serialize_graph
 from .separation import m_separated, m_separated_bruteforce
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The oracle's names, imported on first use: the oracle builds numpy
+    tables, and identification alone never loads numpy."""
+    if name in ("DiscreteScm", "ProbabilityTable", "demo_graph_text", "demo_model",
+                "latent_name", "random_scm", "verify"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AugmentedAdmg",

@@ -16,7 +16,6 @@ import click
 from .estimand import estimand_to_dict, evaluate, render
 from .graph import AugmentedAdmg, GraphError
 from .identify import HedgeWitness, IdentifyResult, SeparationWitness, is_id, s_id, s_recover
-from .oracle import demo_model, verify
 from .parser import ParseError, parse_graph
 
 VERIFY_TOLERANCE = 1e-6
@@ -151,6 +150,8 @@ def verify_cmd(graph_path, treatment, outcome, trials, domain_size, seed, min_pr
         raise click.ClickException("--graph is required (or use --demo)")
     if not outcome:
         raise click.ClickException("--outcome is required (or use --demo)")
+    from .oracle import verify  # loads numpy, which identify never needs
+
     g = _load_graph(graph_path)
     x = _vertex_args(g, treatment, "--treatment")
     y = _vertex_args(g, outcome, "--outcome")
@@ -170,6 +171,8 @@ def verify_cmd(graph_path, treatment, outcome, trials, domain_size, seed, min_pr
 
 
 def _run_demo() -> int:
+    from .oracle import demo_model
+
     scm = demo_model()
     g = scm.graph
     result = s_id(g, ("X",), ("Y",))

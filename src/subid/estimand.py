@@ -36,6 +36,7 @@ raise ``ValueError`` for trees nested deeper than the interpreter stack allows.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -121,10 +122,12 @@ def _names(values: Iterable[str], what: str) -> tuple[str, ...]:
         raise ValueError(f"{what} must be a collection of names, got the string {values!r}")
     if not isinstance(values, Iterable):
         raise ValueError(f"{what} must be a collection of names, got {values!r}")
-    values = list(values)
+    values = tuple(values)
     if not all(map(isinstance, values, itertools.repeat(str))) or "" in values:
         bad = next(v for v in values if not isinstance(v, str) or not v)
         raise ValueError(f"{what} must be non-empty strings, got {bad!r}")
+    if all(map(operator.lt, values, values[1:])):  # already sorted and distinct
+        return values
     return tuple(sorted(set(values)))
 
 
@@ -615,14 +618,23 @@ def qs_decompose(g: AugmentedAdmg, factor: QsFactor) -> list[QsFactor]:
     with P_i the marginal of the factor on the first i vertices of the order
     (P_0 = 1), a component's factor is the product of P_i / P_{i-1} over its
     members, which telescopes to one P_b / P_{a-1} per maximal run a..b of
-    consecutive member positions.  Only those marginals are built, so a
-    single-component scope returns the input expression unchanged.
+    consecutive member positions.  Only those marginals are built, each once,
+    so a single-component scope returns the input expression unchanged.
     """
     order = g.topological_order(factor.scope)
     pos = {v: i for i, v in enumerate(order, start=1)}
+    # the sorted names of every suffix order[i:], the vertices P_i sums out
+    suffixes: list[tuple[str, ...]] = [()] * (len(order) + 1)
+    tail: list[str] = []
+    for i in range(len(order) - 1, 0, -1):
+        bisect.insort(tail, order[i])
+        suffixes[i] = tuple(tail)
+    marginals: dict[int, Estimand] = {0: ONE}
 
-    def prefix(i: int) -> Estimand:
-        return sum_over(order[i:], factor.expr) if i else ONE
+    def prefix(i: int) -> Estimand:  # built once: runs that meet share their boundary
+        if i not in marginals:
+            marginals[i] = sum_over(suffixes[i], factor.expr)
+        return marginals[i]
 
     out = []
     for comp in s_components(g, factor.scope):

@@ -14,6 +14,7 @@ and safe to hash or compare in tests.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Iterable
 
 __all__ = ["AugmentedAdmg", "GraphError", "CycleError"]
@@ -35,7 +36,11 @@ class CycleError(GraphError):
 def _as_names(vertices: Iterable[str]) -> tuple[str, ...]:
     if isinstance(vertices, str):
         raise GraphError(f"expected a collection of vertex names, got the string {vertices!r}")
-    return tuple(sorted(set(vertices)))
+    names = list(vertices)
+    if not all(map(isinstance, names, itertools.repeat(str))) or "" in names:
+        bad = next(v for v in names if not isinstance(v, str) or not v)
+        raise GraphError(f"vertex names must be non-empty strings, got {bad!r}")
+    return tuple(sorted(set(names)))
 
 
 class AugmentedAdmg:
@@ -75,8 +80,6 @@ class AugmentedAdmg:
     ):
         self._vertices = _as_names(vertices)
         known = set(self._vertices)
-        if any(not isinstance(v, str) or not v for v in self._vertices):
-            raise GraphError("vertex names must be non-empty strings")
 
         dir_edges: set[tuple[str, str]] = set()
         for tail, head in directed:

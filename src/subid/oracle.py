@@ -113,10 +113,15 @@ def latent_name(u: str, v: str) -> str:
 def _parent_map(g: AugmentedAdmg) -> dict[str, tuple[str, ...]]:
     """Sorted parents of every model variable: directed parents plus the
     latents of incident bidirected edges; latents have none."""
-    out = {latent_name(u, v): () for u, v in g.bidirected_edges}
+    out: dict[str, tuple[str, ...]] = {}
+    latents: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for edge in g.bidirected_edges:
+        name = latent_name(*edge)
+        out[name] = ()
+        for end in edge:
+            latents[end].append(name)
     for v in g.vertices:
-        latents = [latent_name(*edge) for edge in g.bidirected_edges if v in edge]
-        out[v] = tuple(sorted(set(g.parents(v)) | set(latents)))
+        out[v] = tuple(sorted(set(g.parents(v)) | set(latents[v])))
     return out
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: subset enumeration for hedges,
 per-assignment mutilated joints for ground-truth factors, a scalar
 estimand evaluator, recursive LaTeX and JSON-object renderers, a plain-loop
-telescoping fixpoint, member-by-member c-factor telescoping.  The point is
+telescoping fixpoint, member-by-member c-factor telescoping, and prefix
+marginals built afresh for every ratio.  The point is
 that none of it shares code paths with the implementations under test.
 """
 
@@ -250,7 +251,7 @@ def telescope_reference(factors):
     return flat[0] if len(flat) == 1 else Product(tuple(flat))
 
 
-def qs_decompose_reference(g, factor):
+def qs_decompose_by_members(g, factor):
     """``qs_decompose`` built member by member: the product over a component
     of the ratios of consecutive order-prefix marginals, which ``product``
     telescopes."""
@@ -260,6 +261,24 @@ def qs_decompose_reference(g, factor):
     out = []
     for comp in s_components(g, factor.scope):
         ratios = [quotient(prefix[pos[v]], prefix[pos[v] - 1]) for v in comp]
+        out.append(QsFactor(comp, product(ratios)))
+    return out
+
+
+def qs_decompose_reference(g, factor):
+    """``qs_decompose`` with one ratio per run of consecutive order positions,
+    each prefix marginal built afresh from the unsorted suffix of the order."""
+    order = g.topological_order(factor.scope)
+    pos = {v: i for i, v in enumerate(order, start=1)}
+
+    def prefix(i):
+        return sum_over(order[i:], factor.expr) if i else ONE
+
+    out = []
+    for comp in s_components(g, factor.scope):
+        ranks = enumerate(sorted(pos[v] for v in comp))
+        runs = [list(r) for _, r in itertools.groupby(ranks, lambda p: p[1] - p[0])]
+        ratios = [quotient(prefix(run[-1][1]), prefix(run[0][1] - 1)) for run in runs]
         out.append(QsFactor(comp, product(ratios)))
     return out
 

@@ -1,7 +1,11 @@
 """The command-line interface, driven through ``main`` with captured output."""
 
 import json
+import os
+import subprocess
+import sys
 
+import subid
 from subid.cli import main
 
 from conftest import GRAPH_DIR
@@ -225,3 +229,27 @@ def test_usage_error_without_arguments(capsys):
     code, _, err = run(capsys, "identify")
     assert code == 1
     assert "Missing option" in err
+
+
+def test_identification_leaves_numpy_unloaded():
+    # numpy is only needed to build tables; a fresh process identifies without it
+    src = os.path.dirname(os.path.dirname(subid.__file__))
+    code = f"""
+import contextlib, io, sys
+import subid, subid.cli
+g = subid.parse_graph(open({MEDICATION!r}).read()).graph
+subid.render(subid.s_id(g, ["X"], ["Y"]).estimand)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert subid.cli.main(["identify", "--graph", {MEDICATION!r}, "--treatment", "X", "--outcome", "Y"]) == 0
+sys.exit("numpy" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_names_are_served_by_the_package():
+    assert subid.verify is subid.oracle.verify
+    namespace = {}
+    exec("from subid import *", namespace)
+    assert all(namespace[name] is getattr(subid, name) for name in subid.__all__)

@@ -44,6 +44,7 @@ from helpers import (
     evaluate_scalar,
     iter_assignments,
     latex_reference,
+    qs_decompose_by_members,
     qs_decompose_reference,
     qs_ground_truth,
     random_admg,
@@ -76,6 +77,27 @@ def test_name_validation_reports_the_first_bad_element():
         prob([["A"]])
     with pytest.raises(ValueError, match=re.escape("bound variables must be non-empty strings, got 3")):
         sum_over(["A", 3, ""], prob(["A"]))
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda: sum_over(["C", "A", "B"], prob(["A", "B", "C"])).over, ("A", "B", "C")),
+        (lambda: prob(("A", "A"), ("B", "B")), Prob(("A",), ("B",))),
+        (lambda: prob(("A", "C"), (v for v in ["D", "B", "D"])), Prob(("A", "C"), ("B", "D"))),
+        (lambda: prob(("A", 3)), "outcome variables must be non-empty strings, got 3"),
+        (lambda: prob(("A", "B"), ("", "C")), "conditioning variables must be non-empty strings, got ''"),
+        (lambda: sum_over(("", "A"), prob(["A"])), "bound variables must be non-empty strings, got ''"),
+    ],
+)
+def test_names_of_any_order_give_sorted_distinct_tuples(build, want):
+    # a strictly increasing tuple is kept as it is; every other input is sorted
+    # and deduplicated, and a sorted-looking one is still checked element-wise
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            build()
+    else:
+        assert build() == want
 
 
 def test_prob_sorts_and_validates():
@@ -788,7 +810,7 @@ def test_qs_decompose_matches_member_by_member_telescoping():
         while factors:
             factor = factors.pop()
             parts = qs_decompose(g, factor)
-            assert parts == qs_decompose_reference(g, factor), (g, factor)
+            assert parts == qs_decompose_by_members(g, factor), (g, factor)
             checked += 1
             order = g.topological_order(factor.scope)
             for part in parts:
@@ -799,6 +821,58 @@ def test_qs_decompose_matches_member_by_member_telescoping():
                     if anc != part.scope:
                         factors.append(qs_marginalize(g, part, anc))
     assert checked >= 1000 and gapped >= 100
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_qs_decompose_matches_unshared_prefix_marginals(seed):
+    # the base factor, every ancestral sub-scope of it, and every ancestral
+    # sub-scope of a decomposed part, as the recursion reaches them
+    rng = np.random.default_rng(seed)
+    g = random_admg(rng, n_obs=int(rng.integers(3, 8)), p_bi=0.3, p_sel_dir=0.15)
+    base = qs_base(g)
+    factors = [base]
+    for v in base.scope:
+        anc = g.ancestors([v], within=base.scope)
+        if anc != base.scope:
+            factors.append(qs_marginalize(g, base, anc))
+    for factor in factors[:]:
+        for part in qs_decompose(g, factor):
+            anc = g.ancestors(part.scope[:1], within=part.scope)
+            if anc != part.scope:
+                factors.append(qs_marginalize(g, part, anc))
+    for factor in factors:
+        got, want = qs_decompose(g, factor), qs_decompose_reference(g, factor)
+        assert [p.scope for p in got] == [p.scope for p in want]
+        assert [p.expr for p in got] == [p.expr for p in want]
+        assert [render(p.expr) for p in got] == [render(p.expr) for p in want]
+
+
+def test_qs_decompose_builds_each_prefix_marginal_once():
+    # order A, B, C; components {A, C} and {B} interleave, so P_1 and P_2 each
+    # bound a run of both components
+    g = AugmentedAdmg(["A", "B", "C", "S"], [("A", "B"), ("B", "C")], [("A", "C")], selection="S")
+    parts = qs_decompose(g, qs_base(g))
+    assert [p.scope for p in parts] == [("A", "C"), ("B",)]
+    sums: dict[SumOver, set[int]] = {}
+    for part in parts:
+        for node in _subtrees(part.expr):
+            if isinstance(node, SumOver):
+                sums.setdefault(node, set()).add(id(node))
+    assert len(sums) == 2
+    assert all(len(ids) == 1 for ids in sums.values())
+
+
+def _subtrees(e):
+    yield e
+    if isinstance(e, SumOver):
+        yield from _subtrees(e.body)
+    elif isinstance(e, Product):
+        for f in e.factors:
+            yield from _subtrees(f)
+    elif isinstance(e, Quotient):
+        yield from _subtrees(e.num)
+        yield from _subtrees(e.den)
 
 
 def test_qs_factors_match_ground_truth(medication, hedges):

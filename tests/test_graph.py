@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from subid import AugmentedAdmg, CycleError, GraphError
+from subid import AugmentedAdmg, CycleError, GraphError, is_id, s_id
 
 from helpers import random_admg
 
@@ -82,6 +82,23 @@ def test_cycle_detected_alongside_acyclic_part():
             [("A", "B"), ("C", "D"), ("D", "C")],
         )
     assert set(info.value.cycle) == {"C", "D"}
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda g: AugmentedAdmg(["a", 1]), "1"),
+        (lambda g: g.vertex_set(["a", 2]), "2"),
+        (lambda g: s_id(g, ["X", 1], ["Y"]), "1"),
+        (lambda g: is_id(g, ["X"], ["Y", 2]), "2"),
+        (lambda g: g.vertex_set(["X", ""]), "''"),
+    ],
+    ids=["constructor", "vertex_set", "s_id", "is_id", "empty-name"],
+)
+def test_vertex_names_of_other_types_are_graph_errors(medication, call, bad):
+    # checked before sorting, which would raise TypeError on mixed types
+    with pytest.raises(GraphError, match=f"vertex names must be non-empty strings, got {bad}$"):
+        call(medication)
 
 
 def test_parents_children_siblings(hedges):
