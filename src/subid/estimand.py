@@ -264,26 +264,30 @@ def quotient(num: Estimand, den: Estimand) -> Estimand:
 # -- structural queries ------------------------------------------------------
 
 
-def _postorder(root: Estimand) -> Iterator[Estimand]:
+def _postorder(root: Estimand) -> list[Estimand]:
     """Each distinct node of ``root`` once (by identity), children before their
     parent and left to right, from an explicit stack, so any depth walks."""
-    done: set[int] = set()
-    stack: list[tuple[Estimand, bool]] = [(root, False)]
+    order: list[Estimand] = []
+    seen: set[int] = set()
+    # None sits above a node whose children are still being walked; the tree
+    # is acyclic, so a node met again has been appended to ``order`` already
+    stack: list[Estimand | None] = [root]
     while stack:
-        node, expanded = stack.pop()
-        if id(node) in done:
+        node = stack.pop()
+        if node is None:
+            order.append(stack.pop())
             continue
-        if expanded:
-            done.add(id(node))
-            yield node
+        if id(node) in seen:
             continue
-        stack.append((node, True))
+        seen.add(id(node))
+        stack += (node, None)
         if isinstance(node, SumOver):
-            stack.append((node.body, False))
+            stack.append(node.body)
         elif isinstance(node, Product):
-            stack += ((f, False) for f in reversed(node.factors))
+            stack += reversed(node.factors)
         elif isinstance(node, Quotient):
-            stack += ((node.den, False), (node.num, False))
+            stack += (node.den, node.num)
+    return order
 
 
 def _free_map(root: Estimand) -> dict[int, tuple[str, ...]]:

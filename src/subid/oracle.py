@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import numbers
 from typing import Collection, Iterable, Mapping
 
 import numpy as np
@@ -110,6 +112,15 @@ def latent_name(u: str, v: str) -> str:
     return f"{a}~{b}"
 
 
+def _integer(what: str, value: object, least: int) -> int:
+    """``value`` as an int; refuse bools, non-integers and values below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
+    return int(value)
+
+
 def _parent_map(g: AugmentedAdmg) -> dict[str, tuple[str, ...]]:
     """Sorted parents of every model variable: directed parents plus the
     latents of incident bidirected edges; latents have none."""
@@ -133,9 +144,9 @@ class DiscreteScm:
     graph:
         Augmented graph with a selection vertex.
     domains:
-        Domain size per vertex.  The selection vertex is always binary;
-        latents default to binary unless listed here under their
-        :func:`latent_name`.
+        Domain size per vertex, an integer of at least 2 (bools refused).
+        The selection vertex is always binary; latents default to binary
+        unless listed here under their :func:`latent_name`.
     cpts:
         One table per vertex and per latent.  A variable's table has one axis
         per parent, parents sorted by name (directed parents plus the latents
@@ -149,6 +160,29 @@ class DiscreteScm:
         domains: Mapping[str, int],
         cpts: Mapping[str, np.ndarray],
     ):
+        self._layout(graph, domains)
+        self._cpts: dict[str, np.ndarray] = {}
+        for name in self._names:
+            try:
+                raw = cpts[name]
+            except KeyError:
+                raise ValueError(f"missing conditional table for {name!r}") from None
+            want = self._shape(name)
+            arr = np.asarray(raw, dtype=float)
+            if arr.shape != want:
+                raise ValueError(
+                    f"table for {name!r} has shape {arr.shape}, expected {want} "
+                    f"(parents {self._parents[name]})"
+                )
+            if (arr < 0).any():
+                raise ValueError(f"table for {name!r} has negative entries")
+            if not np.abs(arr.sum(axis=-1) - 1.0).max() <= 1e-12:  # NaN fails too
+                raise ValueError(f"rows of the table for {name!r} do not sum to 1")
+            self._cpts[name] = arr
+
+    def _layout(self, graph: AugmentedAdmg, domains: Mapping[str, int]) -> None:
+        """Every structural check, then sizes, sorted names, parents and axes;
+        no table is read, so :func:`random_scm` runs this before drawing."""
         if graph.selection is None:
             raise GraphError("an SCM requires a graph with a selection vertex")
         self.graph = graph
@@ -163,39 +197,21 @@ class DiscreteScm:
         for v in graph.vertices:
             if v != graph.selection and v not in domains:
                 raise ValueError(f"missing domain size for {v!r}")
-            sizes[v] = 2 if v == graph.selection else int(domains[v])
+            sizes[v] = 2 if v == graph.selection else _integer(f"domain of {v!r}", domains[v], 2)
         for l in self._latents:
-            sizes[l] = int(domains.get(l, 2))
-        for name, k in sizes.items():
-            if k < 2:
-                raise ValueError(f"domain of {name!r} must have at least 2 values")
+            sizes[l] = _integer(f"domain of {l!r}", domains.get(l, 2), 2)
         self._sizes = sizes
         self._names = tuple(sorted(sizes))
-        if int(np.prod([sizes[n] for n in self._names])) > MAX_STATES:
+        if math.prod(sizes.values()) > MAX_STATES:
             raise ValueError(
                 f"state space exceeds {MAX_STATES} cells; exact computation refused"
             )
-
         self._parents = _parent_map(graph)
+        self._axis = {n: i for i, n in enumerate(self._names)}
 
-        self._cpts: dict[str, np.ndarray] = {}
-        for name in self._names:
-            try:
-                raw = cpts[name]
-            except KeyError:
-                raise ValueError(f"missing conditional table for {name!r}") from None
-            want = tuple(sizes[p] for p in self._parents[name]) + (sizes[name],)
-            arr = np.asarray(raw, dtype=float)
-            if arr.shape != want:
-                raise ValueError(
-                    f"table for {name!r} has shape {arr.shape}, expected {want} "
-                    f"(parents {self._parents[name]})"
-                )
-            if (arr < 0).any():
-                raise ValueError(f"table for {name!r} has negative entries")
-            if not np.abs(arr.sum(axis=-1) - 1.0).max() <= 1e-12:  # NaN fails too
-                raise ValueError(f"rows of the table for {name!r} do not sum to 1")
-            self._cpts[name] = arr
+    def _shape(self, name: str) -> tuple[int, ...]:
+        """The table shape of ``name``: its parents' sizes, then its own."""
+        return tuple(self._sizes[p] for p in self._parents[name]) + (self._sizes[name],)
 
     # -- structure accessors -------------------------------------------------
 
@@ -214,9 +230,12 @@ class DiscreteScm:
     def _expanded(self, name: str) -> np.ndarray:
         """The CPT of ``name`` broadcast over the full variable order."""
         axes = self._parents[name] + (name,)
-        positions = [self._names.index(a) for a in axes]
-        arr = np.transpose(self._cpts[name], np.argsort(positions))
-        return arr.reshape([self._sizes[n] if n in axes else 1 for n in self._names])
+        shape = [1] * len(self._names)
+        for a in axes:
+            shape[self._axis[a]] = self._sizes[a]
+        # the full variable order is sorted by name, so axes sorted by name fit it
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        return self._cpts[name].transpose(order).reshape(shape)
 
     def _product(self, skip: Collection[str] = ()) -> np.ndarray:
         """Product of the CPTs of every variable outside ``skip``: skipping the
@@ -276,7 +295,7 @@ class DiscreteScm:
         and outcome variable, sorted (size 1 for a treatment nothing reads)."""
         keep = sorted(set(treatment) | set(outcome))
         truncated = self._product(treatment)
-        sel = np.take(truncated, [1], axis=self._names.index(self.graph.selection))
+        sel = np.take(truncated, [1], axis=self._axis[self.graph.selection])
         joint = sel.sum(axis=tuple(i for i, n in enumerate(self._names) if n not in keep))
         in_outcome = tuple(i for i, n in enumerate(keep) if n in outcome)
         effect = joint / joint.sum(axis=in_outcome, keepdims=True)
@@ -284,7 +303,7 @@ class DiscreteScm:
         return effect, self._condition_selected(full, set(self.graph.observed))
 
     def _condition_selected(self, arr: np.ndarray, keep: set[str]) -> ProbabilityTable:
-        sliced = np.take(arr, [1], axis=self._names.index(self.graph.selection))
+        sliced = np.take(arr, [1], axis=self._axis[self.graph.selection])
         total = float(sliced.sum())
         if total <= 0.0:
             raise PositivityError("the selected sub-population has probability zero")
@@ -304,10 +323,11 @@ def random_scm(
     entry is at least ``min_prob``; selection rows therefore stay inside
     [min_prob, 1 - min_prob] and the sub-population distribution is strictly
     positive.  ``min_prob = 1/domain_size`` degenerates to exactly uniform
-    tables.
+    tables.  A state space of more than ``MAX_STATES`` cells is refused before
+    any table is drawn.
     """
-    if domain_size < 2:
-        raise ValueError("domain_size must be at least 2")
+    domain_size = _integer("domain_size", domain_size, 2)
+    seed = _integer("seed", seed, 0)
     if not 0.0 < min_prob <= 1.0 / domain_size:
         raise ValueError(
             f"min_prob must lie in (0, 1/domain_size]; got {min_prob} "
@@ -315,21 +335,30 @@ def random_scm(
         )
     if g.selection is None:
         raise GraphError("random_scm requires a graph with a selection vertex")
-    rng = np.random.default_rng(seed)
-    sizes: dict[str, int] = {v: domain_size for v in g.observed}
-    sizes[g.selection] = 2
-    for u, v in g.bidirected_edges:
-        sizes[latent_name(u, v)] = domain_size
-
-    def draw(parent_sizes: tuple[int, ...], k: int) -> np.ndarray:
-        rows = int(np.prod(parent_sizes)) if parent_sizes else 1
-        flat = rng.dirichlet(np.ones(k), size=rows)
-        flat = min_prob + (1.0 - k * min_prob) * flat
-        return flat.reshape(parent_sizes + (k,))
-
-    parents = _parent_map(g)
-    cpts = {n: draw(tuple(sizes[p] for p in parents[n]), sizes[n]) for n in sorted(sizes)}
-    return DiscreteScm(g, sizes, cpts)
+    scm = DiscreteScm.__new__(DiscreteScm)  # tables drawn here need no re-check
+    latents = (latent_name(u, v) for u, v in g.bidirected_edges)
+    scm._layout(g, dict.fromkeys(itertools.chain(g.observed, latents), domain_size))
+    shapes = [scm._shape(n) for n in scm._names]
+    counts = [math.prod(shape) for shape in shapes]
+    # rng.dirichlet(np.ones(k)) is k standard exponentials times the reciprocal
+    # of their sequential sum: one exponential per entry, in table order, and a
+    # last cumsum column (np.sum adds pairwise) give the same bits
+    flat = np.random.default_rng(seed).standard_exponential(sum(counts))
+    scm._cpts = {}
+    start = 0
+    for k, run in itertools.groupby(zip(scm._names, shapes, counts), lambda t: t[1][-1]):
+        run = list(run)
+        rows = flat[start:start + sum(count for _, _, count in run)].reshape(-1, k)
+        rows *= 1.0 / np.cumsum(rows, axis=1)[:, -1:]
+        rows *= 1.0 - k * min_prob
+        rows += min_prob
+        if (rows < 0).any() or not np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12:
+            names = ", ".join(repr(name) for name, _, _ in run)
+            raise ValueError(f"rows drawn for {names} are not distributions")
+        for name, shape, count in run:
+            scm._cpts[name] = flat[start:start + count].reshape(shape)
+            start += count
+    return scm
 
 
 demo_graph_text = "X -> Y\nZ -> S\nX <-> Z\nY <-> S\n"
@@ -396,8 +425,9 @@ def verify(
     that table and compared at every treatment/outcome assignment.  Returns a
     JSON-ready report; identical arguments give bit-identical reports.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = _integer("trials", trials, 1)
+    domain_size = _integer("domain_size", domain_size, 2)
+    seed = _integer("seed", seed, 0)
     x = g.vertex_set(treatment)
     y = g.vertex_set(outcome)
     result = s_id(g, x, y)

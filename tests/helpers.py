@@ -3,8 +3,9 @@
 Everything here is deliberately naive: subset enumeration for hedges,
 per-assignment mutilated joints for ground-truth factors, a scalar
 estimand evaluator, recursive LaTeX and JSON-object renderers, a plain-loop
-telescoping fixpoint, member-by-member c-factor telescoping, and prefix
-marginals built afresh for every ratio.  The point is
+telescoping fixpoint, member-by-member c-factor telescoping, prefix
+marginals built afresh for every ratio, and random models drawn table by
+table.  The point is
 that none of it shares code paths with the implementations under test.
 """
 
@@ -26,6 +27,7 @@ from subid import (
     free_vars,
     is_hedge,
     is_s_hedge,
+    latent_name,
     prob,
     product,
     quotient,
@@ -309,6 +311,31 @@ def brute_force_s_hedge(g, outcome):
             if is_s_hedge(g, outcome, h):
                 return h
     return None
+
+
+# -- random models ----------------------------------------------------------------
+
+
+def random_scm_reference(g, domain_size=2, min_prob=0.05, seed=0):
+    """The CPTs of ``random_scm(g, domain_size, min_prob, seed)``, drawn one
+    table at a time with ``rng.dirichlet``, tables in name order."""
+    rng = np.random.default_rng(seed)
+    sizes = {v: domain_size for v in g.observed}
+    sizes[g.selection] = 2
+    parents = {v: set(g.parents(v)) for v in g.vertices}
+    for u, v in g.bidirected_edges:
+        latent = latent_name(u, v)
+        sizes[latent] = domain_size
+        parents[latent] = set()
+        parents[u].add(latent)
+        parents[v].add(latent)
+    cpts = {}
+    for name in sorted(sizes):
+        k = sizes[name]
+        shape = tuple(sizes[p] for p in sorted(parents[name]))
+        rows = rng.dirichlet(np.ones(k), size=int(np.prod(shape)))
+        cpts[name] = (min_prob + (1.0 - k * min_prob) * rows).reshape(shape + (k,))
+    return cpts
 
 
 # -- exact ground-truth factors -------------------------------------------------

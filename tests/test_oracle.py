@@ -1,6 +1,10 @@
 """The exact-SCM oracle: probability tables, model construction, the demo
 model's closed-form numbers, and the estimand verification loop."""
 
+import json
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +21,7 @@ from subid import (
     verify,
 )
 
-from helpers import iter_assignments
+from helpers import iter_assignments, random_admg, random_scm_reference
 
 
 # -- probability tables ----------------------------------------------------------
@@ -138,6 +142,119 @@ def test_state_space_cap():
         random_scm(g, seed=0)
 
 
+def test_oversized_state_space_refused_before_any_draw():
+    # 25 binary variables; Y's table alone would hold 2**21 entries (16 MB)
+    parents = [f"P{i:02d}" for i in range(20)]
+    g = AugmentedAdmg(
+        parents + ["I0", "I1", "I2", "Y", "S"], [(p, "Y") for p in parents], selection="S"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="state space exceeds"):
+            random_scm(g, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _binary(g, **sizes):
+    return {**{v: 2 for v in g.vertices}, **sizes}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda g: DiscreteScm(g, _binary(g, X=2.7), {}),
+            "domain of 'X' must be an integer, got 2.7",
+            id="domain-float",
+        ),
+        pytest.param(
+            lambda g: DiscreteScm(g, _binary(g, X="2"), {}),
+            "domain of 'X' must be an integer, got '2'",
+            id="domain-str",
+        ),
+        pytest.param(
+            lambda g: DiscreteScm(g, _binary(g, X=True), {}),
+            "domain of 'X' must be an integer, got True",
+            id="domain-bool",
+        ),
+        pytest.param(
+            lambda g: DiscreteScm(g, _binary(g, **{"X~Z": 2.0}), {}),
+            "domain of 'X~Z' must be an integer, got 2.0",
+            id="latent-domain-float",
+        ),
+        pytest.param(
+            lambda g: DiscreteScm(g, _binary(g, X=1), {}),
+            "domain of 'X' must be at least 2, got 1",
+            id="domain-too-small",
+        ),
+        pytest.param(
+            lambda g: random_scm(g, domain_size=2.5),
+            "domain_size must be an integer, got 2.5",
+            id="random_scm-domain_size-float",
+        ),
+        pytest.param(
+            lambda g: random_scm(g, domain_size=True),
+            "domain_size must be an integer, got True",
+            id="random_scm-domain_size-bool",
+        ),
+        pytest.param(
+            lambda g: random_scm(g, seed=1.5),
+            "seed must be an integer, got 1.5",
+            id="random_scm-seed-float",
+        ),
+        pytest.param(
+            lambda g: random_scm(g, seed=-1),
+            "seed must be at least 0, got -1",
+            id="random_scm-seed-negative",
+        ),
+        pytest.param(
+            lambda g: verify(g, ["X"], ["Y"], trials=1.5),
+            "trials must be an integer, got 1.5",
+            id="verify-trials-float",
+        ),
+        pytest.param(
+            lambda g: verify(g, ["X"], ["Y"], trials=True),
+            "trials must be an integer, got True",
+            id="verify-trials-bool",
+        ),
+        pytest.param(
+            lambda g: verify(g, ["X"], ["Y"], domain_size=2.5),
+            "domain_size must be an integer, got 2.5",
+            id="verify-domain_size-float",
+        ),
+        pytest.param(
+            lambda g: verify(g, ["X"], ["Y"], seed=1.5),
+            "seed must be an integer, got 1.5",
+            id="verify-seed-float",
+        ),
+        pytest.param(
+            lambda g: verify(g, ["X"], ["Y"], seed=-1),
+            "seed must be at least 0, got -1",
+            id="verify-seed-negative",
+        ),
+    ],
+)
+def test_sizes_trials_and_seeds_must_be_integers(medication, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(medication)
+
+
+def test_numpy_integer_sizes_trials_and_seeds_are_accepted(medication):
+    a = random_scm(medication, domain_size=np.int64(3), seed=np.int64(2))
+    b = random_scm(medication, domain_size=3, seed=2)
+    assert a.domain_size("X") == 3 and type(a.domain_size("X")) is int
+    for name in b._cpts:
+        assert np.array_equal(a._cpts[name], b._cpts[name]), name
+    report = verify(
+        medication, ["X"], ["Y"], trials=np.int64(2), domain_size=np.int64(3), seed=np.int64(1)
+    )
+    assert report == verify(medication, ["X"], ["Y"], trials=2, domain_size=3, seed=1)
+    assert json.loads(json.dumps(report)) == report
+
+
 def test_intervention_validation():
     scm = demo_model()
     with pytest.raises(GraphError, match="cannot intervene on 'S'"):
@@ -212,6 +329,48 @@ def test_random_scm_positive_everywhere(hedges):
     assert scm.observational_s().values.min() > 0.0
     for do in iter_assignments(("X2",), scm.domain_size):
         assert scm.interventional_s(do).values.min() > 0.0
+
+
+@pytest.mark.parametrize(
+    "graph, domain_size, min_prob",
+    [("medication", d, p) for d in range(2, 10) for p in (1e-4, 0.05, 1.0 / d)]
+    + [("hedges", d, p) for d in (2, 3) for p in (0.01, 1.0 / d)],
+)
+def test_random_scm_draws_table_by_table_dirichlet(request, graph, domain_size, min_prob):
+    g = request.getfixturevalue(graph)
+    for seed in (0, 5):
+        want = random_scm_reference(g, domain_size, min_prob, seed)
+        got = random_scm(g, domain_size, min_prob, seed)._cpts
+        assert list(got) == sorted(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+
+def test_random_scm_draws_table_by_table_dirichlet_on_random_graphs():
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        g = random_admg(rng)
+        domain_size = int(rng.integers(2, 4))
+        seed = int(rng.integers(1000))
+        want = random_scm_reference(g, domain_size, 0.03, seed)
+        got = random_scm(g, domain_size, 0.03, seed)._cpts
+        assert list(got) == sorted(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+
+def test_random_scm_matches_the_model_rebuilt_from_its_tables(hedges, medication):
+    for g, x, y in ((hedges, ("X2",), ("Y2",)), (medication, ("X",), ("Y",))):
+        for domain_size in (2, 3):
+            scm = random_scm(g, domain_size, seed=4)
+            names = (*g.vertices, *scm.latents)
+            tables = {n: t.copy() for n, t in scm._cpts.items()}
+            rebuilt = DiscreteScm(g, {n: scm.domain_size(n) for n in names}, tables)
+            effect, obs = scm._selected_effect(x, y)
+            want_effect, want_obs = rebuilt._selected_effect(x, y)
+            assert np.array_equal(effect, want_effect)
+            assert obs.variables == want_obs.variables
+            assert np.array_equal(obs.values, want_obs.values)
 
 
 def test_random_scm_rejects_bad_parameters(medication):
