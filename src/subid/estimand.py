@@ -44,7 +44,8 @@ import json
 import numbers
 import operator
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Mapping
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Union
 
 from .components import is_ancestral, s_components
@@ -290,19 +291,25 @@ def _postorder(root: Estimand) -> list[Estimand]:
     return order
 
 
+def _children(node: Estimand) -> tuple[Estimand, ...]:
+    if isinstance(node, SumOver):
+        return (node.body,)
+    if isinstance(node, Product):
+        return node.factors
+    if isinstance(node, Quotient):
+        return node.num, node.den
+    return ()
+
+
 def _free_map(root: Estimand) -> dict[int, tuple[str, ...]]:
     fmap: dict[int, tuple[str, ...]] = {}
     for node in _postorder(root):
         if isinstance(node, Prob):
             fv = set(node.of) | set(node.given)
-        elif isinstance(node, SumOver):
-            fv = set(fmap[id(node.body)]) - set(node.over)
-        elif isinstance(node, Product):
-            fv = set().union(*(fmap[id(f)] for f in node.factors))
-        elif isinstance(node, Quotient):
-            fv = set(fmap[id(node.num)]) | set(fmap[id(node.den)])
-        else:
-            fv = set()
+        else:  # the children's, less what a sum binds
+            fv = set().union(*(fmap[id(c)] for c in _children(node)))
+            if isinstance(node, SumOver):
+                fv -= set(node.over)
         fmap[id(node)] = tuple(sorted(fv))
     return fmap
 
@@ -467,21 +474,28 @@ def _nesting_limit():
 
 
 def _latex(e: Estimand) -> str:
+    order = _postorder(e)
+    unread = Counter(id(child) for node in order for child in _children(node))
     out: dict[int, str] = {}
-    for node in _postorder(e):
+
+    def read(child: Estimand) -> str:  # the last parent to read a string drops it
+        unread[id(child)] -= 1
+        return out[id(child)] if unread[id(child)] else out.pop(id(child))
+
+    for node in order:
         if isinstance(node, One):
             s = "1"
         elif isinstance(node, Prob):
             s = f"P({', '.join(node.of)} \\mid {', '.join(node.given + ('S=1',))})"
         elif isinstance(node, SumOver):
-            s = f"\\sum_{{{', '.join(node.over)}}} {out[id(node.body)]}"
+            s = f"\\sum_{{{', '.join(node.over)}}} {read(node.body)}"
         elif isinstance(node, Product):
             s = " ".join(
-                f"\\left({out[id(f)]}\\right)" if isinstance(f, SumOver) else out[id(f)]
+                f"\\left({read(f)}\\right)" if isinstance(f, SumOver) else read(f)
                 for f in node.factors
             )
         elif isinstance(node, Quotient):
-            s = f"\\frac{{{out[id(node.num)]}}}{{{out[id(node.den)]}}}"
+            s = f"\\frac{{{read(node.num)}}}{{{read(node.den)}}}"
         else:
             raise TypeError(f"not an estimand node: {node!r}")
         out[id(node)] = s
@@ -622,29 +636,36 @@ def qs_decompose(g: AugmentedAdmg, factor: QsFactor) -> list[QsFactor]:
     with P_i the marginal of the factor on the first i vertices of the order
     (P_0 = 1), a component's factor is the product of P_i / P_{i-1} over its
     members, which telescopes to one P_b / P_{a-1} per maximal run a..b of
-    consecutive member positions.  Only those marginals are built, each once,
-    so a single-component scope returns the input expression unchanged.
+    consecutive member positions.  Only those marginals are built, once for all
+    components, so a single-component scope returns the input expression unchanged.
     """
+    build = _component_builder(g, factor)
+    return [build(comp) for comp in s_components(g, factor.scope)]
+
+
+def _component_builder(g: AugmentedAdmg, factor: QsFactor) -> Callable[..., QsFactor]:
+    """:func:`qs_decompose`'s factor of one s-component per call, sharing the prefix marginals."""
     order = g.topological_order(factor.scope)
     pos = {v: i for i, v in enumerate(order, start=1)}
-    # the sorted names of every suffix order[i:], the vertices P_i sums out
+    expr = factor.expr  # P_i sums order[i:] out of it as sum_over would, names unchecked
+    merged = isinstance(expr, SumOver) and not set(expr.over) & pos.keys()
+    tail, body = (sorted(expr.over), expr.body) if merged else ([], expr)
     suffixes: list[tuple[str, ...]] = [()] * (len(order) + 1)
-    tail: list[str] = []
     for i in range(len(order) - 1, 0, -1):
         bisect.insort(tail, order[i])
         suffixes[i] = tuple(tail)
-    marginals: dict[int, Estimand] = {0: ONE}
+    marginals: dict[int, Estimand] = {len(order): expr, 0: ONE}
 
     def prefix(i: int) -> Estimand:  # built once: runs that meet share their boundary
         if i not in marginals:
-            marginals[i] = sum_over(suffixes[i], factor.expr)
+            marginals[i] = SumOver(suffixes[i], body)
         return marginals[i]
 
-    out = []
-    for comp in s_components(g, factor.scope):
+    def build(comp: tuple[str, ...]) -> QsFactor:
         # within a run of consecutive positions, position minus rank is constant
         ranks = enumerate(sorted(pos[v] for v in comp))
         runs = [list(r) for _, r in itertools.groupby(ranks, lambda p: p[1] - p[0])]
         ratios = [quotient(prefix(run[-1][1]), prefix(run[0][1] - 1)) for run in runs]
-        out.append(QsFactor(comp, product(ratios)))
-    return out
+        return QsFactor(comp, product(ratios))
+
+    return build

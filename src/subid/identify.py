@@ -15,6 +15,7 @@ definitive; a hedge failure means "not identified by this algorithm".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
@@ -22,13 +23,12 @@ from .components import c_components, find_hedge, s_components
 from .estimand import (
     Estimand,
     QsFactor,
-    ONE,
     prob,
     product,
     qs_base,
-    qs_decompose,
     qs_marginalize,
     sum_over,
+    _component_builder,
 )
 from .graph import AugmentedAdmg, GraphError
 from .separation import m_separated
@@ -152,7 +152,8 @@ def sid_separation(
 
 
 def _shrink(g: AugmentedAdmg, c: tuple[str, ...], factor: QsFactor) -> QsFactor:
-    """Shrink ``factor`` towards the s-component ``c`` inside its scope.
+    """Shrink ``factor`` towards the s-component ``c`` inside its scope, building
+    at each step only the factor of the s-component that holds ``c``.
 
     Returns the factor of ``c`` itself, or the factor whose scope the
     recursion got stuck at: that scope is an s-hedge for ``c``.
@@ -164,7 +165,8 @@ def _shrink(g: AugmentedAdmg, c: tuple[str, ...], factor: QsFactor) -> QsFactor:
         narrowed = qs_marginalize(g, factor, anc)
         if anc == c:
             return narrowed
-        factor = next(p for p in qs_decompose(g, narrowed) if c[0] in p.scope)
+        part = next(p for p in s_components(g, narrowed.scope) if c[0] in p)
+        factor = _component_builder(g, narrowed)(part)
 
 
 def s_id_single(
@@ -212,11 +214,12 @@ def s_id(
 
     yn = tuple(v for v in y if v in non_anc)
     d = g.ancestors(yn, within=non_anc - set(x))
-    enclosing = qs_decompose(g, qs_base(g))
+    base = qs_base(g)
+    build = functools.cache(_component_builder(g, base))  # each enclosing factor at most once
+    enclosing = s_components(g, base.scope)
     parts: list[QsFactor] = []
     for comp in s_components(g, d):
-        outer = next(t for t in enclosing if comp[0] in t.scope)
-        got = _shrink(g, comp, outer)
+        got = _shrink(g, comp, build(next(t for t in enclosing if comp[0] in t)))
         if got.scope != comp:
             return IdentifyResult("fail", witness=HedgeWitness(comp, got.scope))
         parts.append(got)

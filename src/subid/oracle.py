@@ -328,16 +328,28 @@ def random_scm(
     """
     domain_size = _integer("domain_size", domain_size, 2)
     seed = _integer("seed", seed, 0)
-    if not 0.0 < min_prob <= 1.0 / domain_size:
-        raise ValueError(
-            f"min_prob must lie in (0, 1/domain_size]; got {min_prob} "
-            f"with domain_size {domain_size}"
-        )
+    min_prob = _min_prob(min_prob, domain_size)
     if g.selection is None:
         raise GraphError("random_scm requires a graph with a selection vertex")
     scm = DiscreteScm.__new__(DiscreteScm)  # tables drawn here need no re-check
     latents = (latent_name(u, v) for u, v in g.bidirected_edges)
     scm._layout(g, dict.fromkeys(itertools.chain(g.observed, latents), domain_size))
+    return _draw(scm, min_prob, seed)
+
+
+def _min_prob(min_prob: object, domain_size: int) -> float:
+    """``min_prob`` as a float if it is a real number (not a bool) in (0, 1/domain_size]."""
+    real = isinstance(min_prob, numbers.Real) and not isinstance(min_prob, bool)
+    if not (real and 0.0 < min_prob <= 1.0 / domain_size):
+        raise ValueError(
+            f"min_prob must lie in (0, 1/domain_size]; got {min_prob} "
+            f"with domain_size {domain_size}"
+        )
+    return float(min_prob)
+
+
+def _draw(scm: DiscreteScm, min_prob: float, seed: int) -> DiscreteScm:
+    """Replace the tables of the laid-out ``scm`` by the draws of ``seed``."""
     shapes = [scm._shape(n) for n in scm._names]
     counts = [math.prod(shape) for shape in shapes]
     # rng.dirichlet(np.ones(k)) is k standard exponentials times the reciprocal
@@ -428,6 +440,7 @@ def verify(
     trials = _integer("trials", trials, 1)
     domain_size = _integer("domain_size", domain_size, 2)
     seed = _integer("seed", seed, 0)
+    min_prob = _min_prob(min_prob, domain_size)
     x = g.vertex_set(treatment)
     y = g.vertex_set(outcome)
     result = s_id(g, x, y)
@@ -451,8 +464,8 @@ def verify(
     per_trial = []
     worst = 0.0
     for t in range(trials):
-        trial_seed = seed + t
-        scm = random_scm(g, domain_size, min_prob, trial_seed)
+        trial_seed = seed + t  # the model is laid out once, its tables drawn per trial
+        scm = _draw(scm, min_prob, trial_seed) if t else random_scm(g, domain_size, min_prob, seed)
         effect, obs = scm._selected_effect(x, y)
         # intervention coordinates the value provably does not depend on sit at 0
         values, zero = _tabulate(est, obs)[id(est)]

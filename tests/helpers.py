@@ -4,8 +4,8 @@ Everything here is deliberately naive: subset enumeration for hedges,
 per-assignment mutilated joints for ground-truth factors, a scalar
 estimand evaluator, recursive LaTeX and JSON-object renderers, a plain-loop
 telescoping fixpoint, member-by-member c-factor telescoping, prefix
-marginals built afresh for every ratio, and random models drawn table by
-table.  The point is
+marginals built afresh for every ratio, s_id assembled from whole
+decompositions, and random models drawn table by table.  The point is
 that none of it shares code paths with the implementations under test.
 """
 
@@ -30,6 +30,8 @@ from subid import (
     latent_name,
     prob,
     product,
+    qs_base,
+    qs_marginalize,
     quotient,
     render,
     s_components,
@@ -283,6 +285,37 @@ def qs_decompose_reference(g, factor):
         ratios = [quotient(prefix(run[-1][1]), prefix(run[0][1] - 1)) for run in runs]
         out.append(QsFactor(comp, product(ratios)))
     return out
+
+
+def s_id_reference(g, treatment, outcome):
+    """``s_id`` past its separation check, assembled from whole decompositions
+    (by :func:`qs_decompose_reference`): the enclosing factors are every part
+    of the base factor, and each shrink step decomposes the whole narrowed
+    factor and keeps the part holding the component.  Returns the estimand,
+    or the pair (component, stuck scope) of the first component that gets
+    stuck."""
+    x, y = g.vertex_set(treatment), g.vertex_set(outcome)
+    anc, non_anc = map(set, g.split_by_selection())
+    yn = tuple(v for v in y if v in non_anc)
+    d = g.ancestors(yn, within=non_anc - set(x))
+    enclosing = qs_decompose_reference(g, qs_base(g))
+    parts = []
+    for comp in s_components(g, d):
+        factor = next(t for t in enclosing if comp[0] in t.scope)
+        while True:
+            scope = g.ancestors(comp, within=factor.scope)
+            if scope == factor.scope:
+                break
+            factor = qs_marginalize(g, factor, scope)
+            if scope == comp:
+                break
+            factor = next(p for p in qs_decompose_reference(g, factor) if comp[0] in p.scope)
+        if factor.scope != comp:
+            return comp, factor.scope
+        parts.append(factor.expr)
+    outer = prob(anc - set(x), anc & set(x))
+    inner = sum_over(set(d) - set(yn), product(parts))
+    return sum_over(anc - set(x) - set(y), product([outer, inner]))
 
 
 # -- brute-force hedge existence ----------------------------------------------

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import subid
 from subid.cli import main
 
@@ -203,6 +205,21 @@ def test_verify_zero_trials_is_usage_error(capsys):
     assert code == 1
     assert out == ""
     assert "trials must be at least 1, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "graph, min_prob",
+    [(LATENT, "5"), (MEDICATION, "nan"), (MEDICATION, "0")],
+    ids=["failing-query", "nan", "zero"],
+)
+def test_verify_bad_min_prob_is_usage_error(capsys, graph, min_prob):
+    code, out, err = run(
+        capsys, "verify", "--graph", graph, "--treatment", "X", "--outcome", "Y",
+        "--min-prob", min_prob,
+    )
+    assert code == 1
+    assert out == ""
+    assert "min_prob must lie in (0, 1/domain_size]" in err
 
 
 def test_verify_requires_graph_or_demo(capsys):

@@ -848,6 +848,23 @@ def test_qs_decompose_matches_unshared_prefix_marginals(seed):
         assert [render(p.expr) for p in got] == [render(p.expr) for p in want]
 
 
+def test_qs_decompose_of_a_marginalized_factor(hedges):
+    # the expression is a sum over Y2; each prefix marginal sums into it, as
+    # sum_over merges nested sums over disjoint names
+    factor = qs_marginalize(hedges, qs_base(hedges), ["X1", "X2", "Y1"])
+    assert isinstance(factor.expr, SumOver)
+    parts = qs_decompose(hedges, factor)
+    want = qs_decompose_reference(hedges, factor)
+    assert parts == want
+    assert [render(p.expr) for p in parts] == [render(p.expr) for p in want]
+    joint = "P(X1,X2,Y1,Y2|Z1,Z2,S=1)"
+    assert [p.scope for p in parts] == [("X1", "X2"), ("Y1",)]
+    assert render(parts[0].expr, "text", unicode_sum=False) == f"Sum_{{Y1,Y2}} {joint}"
+    assert render(parts[1].expr, "text", unicode_sum=False) == (
+        f"(Sum_{{Y2}} {joint}) / (Sum_{{Y1,Y2}} {joint})"
+    )
+
+
 def test_qs_decompose_builds_each_prefix_marginal_once():
     # order A, B, C; components {A, C} and {B} interleave, so P_1 and P_2 each
     # bound a run of both components

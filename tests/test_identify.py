@@ -5,7 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import subid.estimand
+import subid.identify
 from subid import (
     AugmentedAdmg,
     GraphError,
@@ -24,6 +28,7 @@ from subid import (
     quotient,
     random_scm,
     render,
+    s_components,
     s_id,
     s_id_single,
     s_recover,
@@ -38,6 +43,7 @@ from helpers import (
     random_dag_admg,
     random_query,
     random_table,
+    s_id_reference,
 )
 
 
@@ -224,6 +230,51 @@ def test_s_id_hedge_witness_is_the_s_hedge_search_result():
                 assert w.hedge == find_s_hedge(g, w.component), (g, x, y)
                 witnessed += 1
     assert witnessed >= 40
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_s_id_matches_assembly_from_whole_decompositions(seed):
+    # building only the factors used gives the same verdicts, witnesses and trees
+    rng = np.random.default_rng(seed)
+    g = random_admg(rng, n_obs=int(rng.integers(3, 8)), p_bi=0.3, p_sel_dir=0.15)
+    for _ in range(4):
+        x, y = random_query(rng, g)
+        for run in (s_id, s_recover):
+            got = run(g, x, y)
+            if isinstance(got.witness, SeparationWitness):
+                continue
+            want = s_id_reference(g, x, y)
+            if not got.identifiable:
+                assert (got.witness.component, got.witness.hedge) == want
+                continue
+            assert got.estimand == want
+            for fmt in ("text", "json"):
+                assert render(got.estimand, fmt) == render(want, fmt)
+
+
+def test_s_id_builds_only_the_factors_it_uses(monkeypatch):
+    # seven s-components outside the selection ancestry {Z}; the query needs
+    # the factor of {Y} alone, and that needs no shrinking
+    g = AugmentedAdmg(
+        ["A", "B", "C", "D", "E", "X", "Y", "Z", "S"], [("X", "Y"), ("Z", "S")], selection="S"
+    )
+    assert len(s_components(g, g.split_by_selection()[1])) == 7
+    calls = []
+    real = subid.estimand.product
+
+    def counting(factors):
+        calls.append(1)
+        return real(factors)
+
+    monkeypatch.setattr(subid.estimand, "product", counting)
+    monkeypatch.setattr(subid.identify, "product", counting)
+    result = s_id(g, ["X"], ["Y"])
+    assert render(result.estimand, "text", unicode_sum=False) == (
+        "Sum_{Z} (P(A,B,C,D,E,X,Y|Z,S=1) / (Sum_{Y} P(A,B,C,D,E,X,Y|Z,S=1))) P(Z|S=1)"
+    )
+    # one for the factor of {Y}, two for the assembly around it
+    assert len(calls) <= 3
 
 
 def test_s_id_rejects_bare_string_vertex_sets(recoverability):

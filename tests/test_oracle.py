@@ -4,6 +4,7 @@ model's closed-form numbers, and the estimand verification loop."""
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from subid import (
     demo_model,
     latent_name,
     parse_graph,
+    evaluate,
     random_scm,
+    s_id,
     verify,
 )
 
@@ -475,3 +478,44 @@ def test_verify_refuses_no_trials(medication, latent_selection, trials):
     for g in (medication, latent_selection):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             verify(g, ["X"], ["Y"], trials=trials)
+
+
+@pytest.mark.parametrize(
+    "min_prob",
+    ["0.1", None, True, float("nan"), float("inf"), 0.0, -0.1, 0.6, 5.0],
+    ids=["str", "none", "bool", "nan", "inf", "zero", "negative", "above-1/size", "five"],
+)
+def test_min_prob_must_be_a_real_number_in_range(medication, latent_selection, min_prob):
+    # verify checks it before identifying, so a failing query refuses it too
+    calls = [
+        lambda: random_scm(medication, min_prob=min_prob),
+        lambda: verify(medication, ["X"], ["Y"], min_prob=min_prob),
+        lambda: verify(latent_selection, ["X"], ["Y"], min_prob=min_prob),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape("min_prob must lie in (0, 1/domain_size]")):
+            call()
+
+
+@pytest.mark.parametrize(
+    "min_prob", [np.float64(0.05), Fraction(1, 20)], ids=["numpy", "fraction"]
+)
+def test_min_prob_accepts_any_real_number(medication, min_prob):
+    assert verify(medication, ["X"], ["Y"], trials=2, min_prob=min_prob) == verify(
+        medication, ["X"], ["Y"], trials=2, min_prob=0.05
+    )
+
+
+def test_verify_trials_match_models_drawn_one_by_one(hedges):
+    # the model is laid out once per call; each trial's tables are random_scm's
+    report = verify(hedges, ["X2"], ["Y2"], trials=4, domain_size=3, min_prob=0.1, seed=7)
+    est = s_id(hedges, ["X2"], ["Y2"]).estimand
+    for trial in report["per_trial"]:
+        scm = random_scm(hedges, 3, 0.1, trial["seed"])
+        effect, obs = scm._selected_effect(("X2",), ("Y2",))
+        pinned = dict.fromkeys(hedges.observed, 0)
+        errors = [
+            abs(evaluate(est, obs, {**pinned, "X2": a, "Y2": b}) - effect[a, b])
+            for a, b in np.ndindex(effect.shape)
+        ]
+        assert trial["error"] == max(errors)
