@@ -11,7 +11,6 @@ against probability tables; a built-in discrete-SCM oracle verifies them.
 from .components import (
     c_components,
     find_hedge,
-    find_s_hedge,
     is_ancestral,
     is_hedge,
     is_s_hedge,
@@ -97,7 +96,6 @@ __all__ = [
     "estimand_to_dict",
     "evaluate",
     "find_hedge",
-    "find_s_hedge",
     "free_vars",
     "from_json",
     "is_ancestral",

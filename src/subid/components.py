@@ -10,7 +10,9 @@ sub-population still ties vertices of H together.
 A hedge for a bidirected-connected set Y is a strictly larger set H that is
 itself a single c-component and equals the ancestry of Y inside it; an
 s-hedge is the same shape with s-components.  Hedges are the obstruction to
-identification, s-hedges the obstruction in the sub-population setting.
+identification, s-hedges the obstruction in the sub-population setting.  One
+scope loop, :func:`_narrow`, searches for both: :func:`find_hedge` runs it on
+c-components, ``identify.s_id`` on s-components for its ``HedgeWitness``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "s_components",
     "is_ancestral",
     "find_hedge",
-    "find_s_hedge",
     "is_hedge",
     "is_s_hedge",
 ]
@@ -63,11 +64,8 @@ def s_components(g: AugmentedAdmg, members: Iterable[str]) -> list[tuple[str, ..
     induced subgraph on ``members`` plus every ancestor of the selection
     vertex (selection vertex included).
     """
-    sel = g.selection
-    if sel is None:
-        raise GraphError("graph has no selection vertex")
     h = g.vertex_set(members)
-    anc = set(g.ancestors([sel]))
+    anc = set(g.ancestors([g._require_selection()]))
     bad = sorted(set(h) & anc)
     if bad:
         raise GraphError(
@@ -90,16 +88,16 @@ def is_ancestral(g: AugmentedAdmg, subset: Iterable[str], scope: Iterable[str]) 
     return g.ancestors(sub, within=scope) == sub
 
 
-def _shrink_fixpoint(g, outcome, start, component_fn):
-    """Iterate T <- component(ancestry of outcome within T) to a fixpoint."""
-    anchor = outcome[0]
-    t = start
-    while True:
-        anc = g.ancestors(outcome, within=t)
-        nxt = next(c for c in component_fn(g, anc) if anchor in c)
-        if nxt == t:
-            return None if t == outcome else t
-        t = nxt
+def _narrow(g, c, t, component_fn):
+    """Shrink the scope ``t``, one component holding the component ``c``, to
+    the component holding ``c`` of the ancestry of ``c`` within it, until that
+    ancestry is all of ``t``.  Returns the last scope, ``c`` or else a hedge for
+    ``c``, and the steps, each the pair (ancestry, component holding ``c``)."""
+    steps = []
+    while (anc := g.ancestors(c, within=t)) != t:
+        t = c if anc == c else next(p for p in component_fn(g, anc) if c[0] in p)
+        steps.append((anc, t))
+    return t, steps
 
 
 def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | None:
@@ -116,24 +114,8 @@ def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | No
     if c_components(g, y) != [y]:
         raise GraphError(f"outcome {{{', '.join(y)}}} is not a single c-component")
     start = next(c for c in c_components(g) if y[0] in c)
-    return _shrink_fixpoint(g, y, start, c_components)
-
-
-def find_s_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | None:
-    """An s-hedge for ``outcome`` if one exists, else None.
-
-    ``outcome`` must avoid the selection ancestry and form a single
-    s-component.  Same shrink-map search as :func:`find_hedge`, run with
-    s-components over the non-ancestral part of the graph.
-    """
-    y = g.vertex_set(outcome)
-    if not y:
-        raise GraphError("outcome must be nonempty")
-    if s_components(g, y) != [y]:
-        raise GraphError(f"outcome {{{', '.join(y)}}} is not a single s-component")
-    _, non_anc = g.split_by_selection()
-    start = next(c for c in s_components(g, non_anc) if y[0] in c)
-    return _shrink_fixpoint(g, y, start, s_components)
+    last, _ = _narrow(g, y, start, c_components)
+    return None if last == y else last
 
 
 def _is_hedge_shape(g, outcome, candidate, component_fn) -> bool:

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
-from .components import c_components, find_hedge, s_components
+from .components import _narrow, c_components, find_hedge, s_components
 from .estimand import (
     Estimand,
     QsFactor,
@@ -75,8 +75,8 @@ class SeparationWitness(_Witness):
 class HedgeWitness(_Witness):
     """An s-hedge ``hedge`` for the s-component ``component``.
 
-    ``hedge`` is the scope where the shrinking recursion got stuck, the same
-    set that ``find_s_hedge(g, component)`` returns.
+    ``hedge`` is the scope where the shrinking recursion got stuck; re-check
+    it with ``is_s_hedge(g, component, hedge)``.
     """
 
     kind = "s-hedge"
@@ -99,15 +99,10 @@ class IdentifyResult:
         return self.status == "identifiable"
 
 
-def _selection(g: AugmentedAdmg) -> str:
-    if g.selection is None:
-        raise GraphError("graph has no selection vertex")
-    return g.selection
-
-
-def _query_sets(
+def _disjoint_sets(
     g: AugmentedAdmg, treatment: Iterable[str], outcome: Iterable[str]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Treatment and outcome as vertex sets: the outcome nonempty, the two disjoint."""
     x = g.vertex_set(treatment)
     y = g.vertex_set(outcome)
     if not y:
@@ -115,6 +110,14 @@ def _query_sets(
     overlap = sorted(set(x) & set(y))
     if overlap:
         raise GraphError(f"treatment and outcome overlap on {', '.join(overlap)}")
+    return x, y
+
+
+def _query_sets(
+    g: AugmentedAdmg, treatment: Iterable[str], outcome: Iterable[str]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """:func:`_disjoint_sets`, with the selection vertex in neither set."""
+    x, y = _disjoint_sets(g, treatment, outcome)
     sel = g.selection
     if sel is not None and sel in set(x) | set(y):
         raise GraphError(f"the selection vertex {sel!r} cannot appear in a query")
@@ -126,7 +129,7 @@ def _separation_witness(
 ) -> SeparationWitness | None:
     """The requirement of :func:`sid_separation` that the query violates, or
     None when it holds; ``anc`` is the selection ancestry."""
-    sel = _selection(g)
+    sel = g._require_selection()
     xa = tuple(v for v in x if v in anc)
     xn = tuple(v for v in x if v not in anc)
     if not xa or m_separated(g.edge_surgery(bar_in=xn, bar_out=xa), xa, y, xn + (sel,)):
@@ -151,22 +154,14 @@ def sid_separation(
     return _separation_witness(g, x, y, set(g.split_by_selection()[0])) is None
 
 
-def _shrink(g: AugmentedAdmg, c: tuple[str, ...], factor: QsFactor) -> QsFactor:
-    """Shrink ``factor`` towards the s-component ``c`` inside its scope, building
-    at each step only the factor of the s-component that holds ``c``.
-
-    Returns the factor of ``c`` itself, or the factor whose scope the
-    recursion got stuck at: that scope is an s-hedge for ``c``.
-    """
-    while True:
-        anc = g.ancestors(c, within=factor.scope)
-        if anc == factor.scope:
-            return factor
-        narrowed = qs_marginalize(g, factor, anc)
-        if anc == c:
-            return narrowed
-        part = next(p for p in s_components(g, narrowed.scope) if c[0] in p)
-        factor = _component_builder(g, narrowed)(part)
+def _replay(g: AugmentedAdmg, factor: QsFactor, steps) -> QsFactor:
+    """The factor that the ``steps`` of :func:`_narrow` reach from ``factor``:
+    marginalize to each ancestry, then take one s-component when it splits."""
+    for anc, part in steps:
+        factor = qs_marginalize(g, factor, anc)
+        if part != anc:
+            factor = _component_builder(g, factor)(part)
+    return factor
 
 
 def s_id_single(
@@ -175,9 +170,9 @@ def s_id_single(
     """Express the factor of one s-component from an enclosing factor.
 
     ``component`` must be a single s-component contained in ``factor.scope``,
-    itself a single s-component.  Returns the component's factor, or None when
-    the shrinking recursion gets stuck (the stuck scope is then an s-hedge for
-    the component).
+    itself a single s-component.  Returns the component's factor, or None,
+    building nothing, when the shrinking recursion gets stuck (the stuck scope
+    is then an s-hedge for the component).
     """
     c = g.vertex_set(component)
     t = factor.scope
@@ -190,8 +185,8 @@ def s_id_single(
         raise GraphError(f"{{{', '.join(c)}}} is not a single s-component")
     if s_components(g, t) != [t]:
         raise GraphError(f"{{{', '.join(t)}}} is not a single s-component")
-    got = _shrink(g, c, factor)
-    return got if got.scope == c else None
+    last, steps = _narrow(g, c, t, s_components)
+    return _replay(g, factor, steps) if last == c else None
 
 
 def s_id(
@@ -214,15 +209,16 @@ def s_id(
 
     yn = tuple(v for v in y if v in non_anc)
     d = g.ancestors(yn, within=non_anc - set(x))
-    base = qs_base(g)
-    build = functools.cache(_component_builder(g, base))  # each enclosing factor at most once
-    enclosing = s_components(g, base.scope)
-    parts: list[QsFactor] = []
+    enclosing = s_components(g, non_anc)
+    plans = []  # every component is decided before any factor is built
     for comp in s_components(g, d):
-        got = _shrink(g, comp, build(next(t for t in enclosing if comp[0] in t)))
-        if got.scope != comp:
-            return IdentifyResult("fail", witness=HedgeWitness(comp, got.scope))
-        parts.append(got)
+        t = next(t for t in enclosing if comp[0] in t)
+        last, steps = _narrow(g, comp, t, s_components)
+        if last != comp:
+            return IdentifyResult("fail", witness=HedgeWitness(comp, last))
+        plans.append((t, steps))
+    build = functools.cache(_component_builder(g, qs_base(g)))  # each enclosing factor at most once
+    parts = [_replay(g, build(t), steps) for t, steps in plans]
 
     outer_prob = prob(anc - set(x), anc & set(x))
     inner = sum_over(set(d) - set(yn), product(p.expr for p in parts))
@@ -243,7 +239,7 @@ def s_recover(
     recoverable from sub-population data.
     """
     x, y = _query_sets(g, treatment, outcome)
-    sel = _selection(g)
+    sel = g._require_selection()
     cut = g.edge_surgery(bar_in=x)
     if not m_separated(cut, y, (sel,), x):
         return IdentifyResult(
@@ -265,13 +261,7 @@ def is_id(
     Selection plays no role here; a selection vertex, if present, participates
     as an ordinary vertex.
     """
-    x = g.vertex_set(treatment)
-    y = g.vertex_set(outcome)
-    if not y:
-        raise GraphError("outcome set must be nonempty")
-    overlap = sorted(set(x) & set(y))
-    if overlap:
-        raise GraphError(f"treatment and outcome overlap on {', '.join(overlap)}")
+    x, y = _disjoint_sets(g, treatment, outcome)
     d = g.ancestors(y, within=set(g.vertices) - set(x))
     for comp in c_components(g, d):
         if find_hedge(g, comp) is not None:

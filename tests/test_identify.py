@@ -16,7 +16,6 @@ from subid import (
     HedgeWitness,
     SeparationWitness,
     evaluate,
-    find_s_hedge,
     free_vars,
     is_id,
     is_s_hedge,
@@ -43,6 +42,7 @@ from helpers import (
     random_dag_admg,
     random_query,
     random_table,
+    s_hedge_reference,
     s_id_reference,
 )
 
@@ -64,6 +64,8 @@ def test_query_validation(medication):
 def test_s_id_requires_selection(id_classic):
     with pytest.raises(GraphError, match="no selection vertex"):
         s_id(id_classic, ["X1"], ["Y1"])
+    with pytest.raises(GraphError, match="no selection vertex"):
+        s_recover(id_classic, ["X1"], ["Y1"])
 
 
 # -- separation precondition -----------------------------------------------------
@@ -219,7 +221,7 @@ def test_s_id_hedge_failure_carries_checkable_witness(hedges):
 
 
 def test_s_id_hedge_witness_is_the_s_hedge_search_result():
-    # the scope the recursion gets stuck at is the fixpoint find_s_hedge reaches
+    # the scope the recursion gets stuck at is the fixpoint of the plain search
     rng = np.random.default_rng(31)
     witnessed = 0
     for _ in range(100):
@@ -227,7 +229,7 @@ def test_s_id_hedge_witness_is_the_s_hedge_search_result():
         for x, y in itertools.permutations(g.observed, 2):
             w = s_id(g, [x], [y]).witness
             if isinstance(w, HedgeWitness):
-                assert w.hedge == find_s_hedge(g, w.component), (g, x, y)
+                assert w.hedge == s_hedge_reference(g, w.component), (g, x, y)
                 witnessed += 1
     assert witnessed >= 40
 
@@ -275,6 +277,25 @@ def test_s_id_builds_only_the_factors_it_uses(monkeypatch):
     )
     # one for the factor of {Y}, two for the assembly around it
     assert len(calls) <= 3
+
+
+def test_stuck_queries_build_no_factor(hedges, monkeypatch):
+    # every scope is decided before any factor is built, so a query that gets
+    # stuck at an s-hedge builds nothing
+    part = next(p for p in qs_decompose(hedges, qs_base(hedges)) if p.scope == ("Y1", "Y2"))
+    calls = []
+    for name in ("product", "_component_builder", "qs_marginalize"):
+        real = getattr(subid.estimand, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(subid.estimand, name, counting)
+        monkeypatch.setattr(subid.identify, name, counting)
+    assert not s_id(hedges, ["X1"], ["Y1", "Y2"]).identifiable
+    assert s_id_single(hedges, ["Y2"], part) is None
+    assert calls == []
 
 
 def test_s_id_rejects_bare_string_vertex_sets(recoverability):

@@ -94,6 +94,8 @@ def test_iter_assignments():
 def test_scm_requires_selection(id_classic):
     with pytest.raises(GraphError, match="requires a graph with a selection"):
         DiscreteScm(id_classic, {}, {})
+    with pytest.raises(GraphError, match="requires a graph with a selection"):
+        random_scm(id_classic)
 
 
 def test_scm_parent_lists():
