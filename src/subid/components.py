@@ -38,23 +38,8 @@ def c_components(
 
     Components are sorted internally and listed by their least member.
     """
-    pool = set(g.vertices if scope is None else g.vertex_set(scope))
-    out: list[tuple[str, ...]] = []
-    unvisited = set(pool)
-    while unvisited:
-        seed = min(unvisited)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for sib in g.siblings(v):
-                if sib in pool and sib not in comp:
-                    comp.add(sib)
-                    frontier.append(sib)
-        unvisited -= comp
-        out.append(tuple(sorted(comp)))
-    out.sort(key=lambda c: c[0])
-    return out
+    pool = g._all if scope is None else g._mask(scope)
+    return [g._names_of(p) for p in _parts(g, pool)]
 
 
 def s_components(g: AugmentedAdmg, members: Iterable[str]) -> list[tuple[str, ...]]:
@@ -64,21 +49,29 @@ def s_components(g: AugmentedAdmg, members: Iterable[str]) -> list[tuple[str, ..
     induced subgraph on ``members`` plus every ancestor of the selection
     vertex (selection vertex included).
     """
-    h = g.vertex_set(members)
-    anc = set(g.ancestors([g._require_selection()]))
-    bad = sorted(set(h) & anc)
-    if bad:
+    h = g._mask(members)
+    g._require_selection()
+    if h & g._sel_anc:
         raise GraphError(
             "s-components are only defined for sets outside the selection "
-            f"vertex's ancestry; offending vertices: {', '.join(bad)}"
+            f"vertex's ancestry; offending vertices: {', '.join(g._names_of(h & g._sel_anc))}"
         )
-    h_set = set(h)
+    return [g._names_of(p) for p in _parts(g, h, g._sel_anc)]
+
+
+def _part(g: AugmentedAdmg, seed: int, pool: int, around: int = 0) -> int:
+    """The component holding the bit ``seed`` of the mask ``pool``: a
+    c-component, or with ``around`` the selection ancestry an s-component."""
+    return g._flood(seed, pool | around, g._sib) & pool
+
+
+def _parts(g: AugmentedAdmg, pool: int, around: int = 0) -> list[int]:
+    """All components of ``pool``, each seeded at the least name left, so they
+    come listed by their least member."""
     out = []
-    for comp in c_components(g, h_set | anc):
-        trace = tuple(v for v in comp if v in h_set)
-        if trace:
-            out.append(trace)
-    out.sort(key=lambda c: c[0])
+    while pool:
+        out.append(_part(g, pool & -pool, pool, around))
+        pool &= ~out[-1]
     return out
 
 
@@ -88,16 +81,18 @@ def is_ancestral(g: AugmentedAdmg, subset: Iterable[str], scope: Iterable[str]) 
     return g.ancestors(sub, within=scope) == sub
 
 
-def _narrow(g, c, t, component_fn):
+def _narrow(g, c, t, around=0):
     """Shrink the scope ``t``, one component holding the component ``c``, to
-    the component holding ``c`` of the ancestry of ``c`` within it, until that
-    ancestry is all of ``t``.  Returns the last scope, ``c`` or else a hedge for
-    ``c``, and the steps, each the pair (ancestry, component holding ``c``)."""
+    the component (:func:`_part` with ``around``) holding ``c`` of the ancestry
+    of ``c`` within it, until that ancestry is all of ``t``.  Returns the last
+    scope, ``c`` or else a hedge for ``c``, and the steps, each the pair
+    (ancestry, component holding ``c``), all as name tuples."""
+    c, t = g._mask(c), g._mask(t)
     steps = []
-    while (anc := g.ancestors(c, within=t)) != t:
-        t = c if anc == c else next(p for p in component_fn(g, anc) if c[0] in p)
+    while (anc := g._flood(c, t, g._pa)) != t:
+        t = c if anc == c else _part(g, c & -c, anc, around)
         steps.append((anc, t))
-    return t, steps
+    return g._names_of(t), [(g._names_of(a), g._names_of(p)) for a, p in steps]
 
 
 def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | None:
@@ -114,7 +109,7 @@ def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | No
     if c_components(g, y) != [y]:
         raise GraphError(f"outcome {{{', '.join(y)}}} is not a single c-component")
     start = next(c for c in c_components(g) if y[0] in c)
-    last, _ = _narrow(g, y, start, c_components)
+    last, _ = _narrow(g, y, start)
     return None if last == y else last
 
 

@@ -8,16 +8,23 @@ selection vertex models membership in the sampled sub-population.
 
 Instances are immutable.  Every operation either returns a new graph or a
 lexicographically sorted tuple of vertex names, so results are deterministic
-and safe to hash or compare in tests.
+and safe to hash or compare in tests.  Inside, the vertices are numbered once
+in sorted-name order and a vertex set is an int bitmask (bit ``i`` for the
+``i``-th name), with parents, children and siblings one mask per vertex: the
+set bits, read low to high, are a sorted name tuple, and the lowest is the
+least name.  Names are converted only at the public boundary (``_mask``,
+``_names_of``).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Iterable
 
 __all__ = ["AugmentedAdmg", "GraphError", "CycleError"]
+
+# bin() digits to the 0/1 bytes that itertools.compress reads as selectors
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class GraphError(ValueError):
@@ -33,14 +40,32 @@ class CycleError(GraphError):
         super().__init__(f"directed cycle: {closed}")
 
 
+def _name_error(bad: object) -> GraphError:
+    return GraphError(f"vertex names must be non-empty strings, got {bad!r}")
+
+
 def _as_names(vertices: Iterable[str]) -> tuple[str, ...]:
     if isinstance(vertices, str):
         raise GraphError(f"expected a collection of vertex names, got the string {vertices!r}")
     names = list(vertices)
     if not all(map(isinstance, names, itertools.repeat(str))) or "" in names:
-        bad = next(v for v in names if not isinstance(v, str) or not v)
-        raise GraphError(f"vertex names must be non-empty strings, got {bad!r}")
+        raise _name_error(next(v for v in names if not isinstance(v, str) or not v))
     return tuple(sorted(set(names)))
+
+
+def _ends(pairs: Iterable[tuple[str, str]], index: dict[str, int]):
+    """Each edge's pair of endpoint indices; self-loops and undeclared ends raise."""
+    for u, v in pairs:
+        if u == v:
+            raise GraphError(f"self-loop on {u!r}")
+        try:
+            ends = index[u], index[v]
+        except (KeyError, TypeError):
+            bad = next(e for e in (u, v) if not isinstance(e, str) or e not in index)
+            if not isinstance(bad, str):
+                raise _name_error(bad) from None
+            raise GraphError(f"edge endpoint {bad!r} is not a declared vertex") from None
+        yield ends
 
 
 class AugmentedAdmg:
@@ -61,15 +86,7 @@ class AugmentedAdmg:
         declared vertex with no directed children.
     """
 
-    __slots__ = (
-        "_vertices",
-        "_selection",
-        "_directed",
-        "_bidirected",
-        "_parents",
-        "_children",
-        "_siblings",
-    )
+    __slots__ = ("_vertices", "_index", "_all", "_selection", "_pa", "_ch", "_sib", "_sel_anc")
 
     def __init__(
         self,
@@ -78,55 +95,37 @@ class AugmentedAdmg:
         bidirected: Iterable[tuple[str, str]] = (),
         selection: str | None = None,
     ):
-        self._vertices = _as_names(vertices)
-        known = set(self._vertices)
-
-        dir_edges: set[tuple[str, str]] = set()
-        for tail, head in directed:
-            if tail == head:
-                raise GraphError(f"self-loop on {tail!r}")
-            for end in (tail, head):
-                if end not in known:
-                    raise GraphError(f"edge endpoint {end!r} is not a declared vertex")
-            dir_edges.add((tail, head))
-
-        bi_edges: set[tuple[str, str]] = set()
-        for pair in bidirected:
-            u, v = pair
-            if u == v:
-                raise GraphError(f"self-loop on {u!r}")
-            for end in (u, v):
-                if end not in known:
-                    raise GraphError(f"edge endpoint {end!r} is not a declared vertex")
-            bi_edges.add((min(u, v), max(u, v)))
+        names = _as_names(vertices)
+        index = {v: i for i, v in enumerate(names)}
+        pa, ch, sib = ([0] * len(names) for _ in range(3))
+        for t, h in _ends(directed, index):
+            pa[h] |= 1 << t
+            ch[t] |= 1 << h
+        for i, j in _ends(bidirected, index):
+            sib[i] |= 1 << j
+            sib[j] |= 1 << i
 
         if selection is not None:
-            if selection not in known:
+            if not isinstance(selection, str):
+                raise _name_error(selection)
+            if selection not in index:
                 raise GraphError(f"selection vertex {selection!r} is not a declared vertex")
-            kids = sorted(head for tail, head in dir_edges if tail == selection)
-            if kids:
+            if ch[index[selection]]:
                 raise GraphError(
                     f"selection vertex {selection!r} must be a sink but has "
-                    f"children {', '.join(kids)}"
+                    f"children {', '.join(names[j] for j in _bits(ch[index[selection]]))}"
                 )
-        self._selection = selection
-        self._directed = frozenset(dir_edges)
-        self._bidirected = frozenset(bi_edges)
+        self._adopt(names, index, selection, pa, ch, sib)
+        if len(self._order(self._all)) < len(names):
+            raise CycleError(self._cycle())
 
-        parents: dict[str, set[str]] = {v: set() for v in self._vertices}
-        children: dict[str, set[str]] = {v: set() for v in self._vertices}
-        siblings: dict[str, set[str]] = {v: set() for v in self._vertices}
-        for tail, head in dir_edges:
-            parents[head].add(tail)
-            children[tail].add(head)
-        for u, v in bi_edges:
-            siblings[u].add(v)
-            siblings[v].add(u)
-        self._parents = {v: tuple(sorted(ps)) for v, ps in parents.items()}
-        self._children = {v: tuple(sorted(cs)) for v, cs in children.items()}
-        self._siblings = {v: tuple(sorted(ss)) for v, ss in siblings.items()}
-
-        self._check_acyclic()
+    def _adopt(self, names, index, selection, pa, ch, sib) -> None:
+        """Set every slot from already-checked parts; the only path that does."""
+        self._vertices, self._index, self._selection = names, index, selection
+        self._all = (1 << len(names)) - 1
+        self._pa, self._ch, self._sib = pa, ch, sib
+        sel = 0 if selection is None else 1 << index[selection]
+        self._sel_anc = self._flood(sel, self._all, pa)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -148,24 +147,24 @@ class AugmentedAdmg:
 
     @property
     def directed_edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self._directed))
+        names = self._vertices
+        return tuple((names[i], h) for i, c in enumerate(self._ch) for h in self._names_of(c))
 
     @property
     def bidirected_edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self._bidirected))
+        names = self._vertices
+        later = (s >> i + 1 << i + 1 for i, s in enumerate(self._sib))  # each pair once
+        return tuple((names[i], v) for i, s in enumerate(later) for v in self._names_of(s))
 
     def parents(self, vertex: str) -> tuple[str, ...]:
-        self._require(vertex)
-        return self._parents[vertex]
+        return self._names_of(self._pa[self._mask([vertex]).bit_length() - 1])
 
     def children(self, vertex: str) -> tuple[str, ...]:
-        self._require(vertex)
-        return self._children[vertex]
+        return self._names_of(self._ch[self._mask([vertex]).bit_length() - 1])
 
     def siblings(self, vertex: str) -> tuple[str, ...]:
         """Vertices joined to ``vertex`` by a bidirected edge."""
-        self._require(vertex)
-        return self._siblings[vertex]
+        return self._names_of(self._sib[self._mask([vertex]).bit_length() - 1])
 
     # -- vertex-set operations ---------------------------------------------
 
@@ -178,18 +177,11 @@ class AugmentedAdmg:
         result is the ancestry of ``seeds`` in the subgraph induced on
         ``within``, which must contain the seeds.
         """
-        frontier = list(self.vertex_set(seeds))
-        scope = self._parents.keys() if within is None else set(self.vertex_set(within))
-        seen = set(frontier)
-        if not scope >= seen:
+        seen = self._mask(seeds)
+        scope = self._all if within is None else self._mask(within)
+        if seen & ~scope:
             raise GraphError("seeds must lie inside the scope")
-        while frontier:
-            v = frontier.pop()
-            for p in self._parents[v]:
-                if p not in seen and p in scope:
-                    seen.add(p)
-                    frontier.append(p)
-        return tuple(sorted(seen))
+        return self._names_of(self._flood(seen, scope, self._pa))
 
     def induced_subgraph(self, keep: Iterable[str]) -> "AugmentedAdmg":
         """The subgraph on ``keep``, retaining both edge kinds and selection."""
@@ -197,8 +189,8 @@ class AugmentedAdmg:
         sel = self._selection if self._selection in kept else None
         return AugmentedAdmg(
             kept,
-            (e for e in self._directed if e[0] in kept and e[1] in kept),
-            (e for e in self._bidirected if e[0] in kept and e[1] in kept),
+            (e for e in self.directed_edges if e[0] in kept and e[1] in kept),
+            (e for e in self.bidirected_edges if e[0] in kept and e[1] in kept),
             selection=sel,
         )
 
@@ -212,14 +204,18 @@ class AugmentedAdmg:
         (bidirected edges carry heads at both ends).  The vertex set and
         selection vertex are unchanged.
         """
-        into = set(self.vertex_set(bar_in))
-        outof = set(self.vertex_set(bar_out))
-        return AugmentedAdmg(
+        into, outof = self._mask(bar_in), self._mask(bar_out)
+        # removing edges adds no vertex and no cycle, so nothing is re-checked
+        cut = object.__new__(AugmentedAdmg)
+        cut._adopt(
             self._vertices,
-            (e for e in self._directed if e[1] not in into and e[0] not in outof),
-            (e for e in self._bidirected if e[0] not in into and e[1] not in into),
-            selection=self._selection,
+            self._index,
+            self._selection,
+            [0 if into >> i & 1 else m & ~outof for i, m in enumerate(self._pa)],
+            [0 if outof >> i & 1 else m & ~into for i, m in enumerate(self._ch)],
+            [0 if into >> i & 1 else m & ~into for i, m in enumerate(self._sib)],
         )
+        return cut
 
     def topological_order(self, scope: Iterable[str] | None = None) -> tuple[str, ...]:
         """A topological order of the directed part restricted to ``scope``.
@@ -227,21 +223,9 @@ class AugmentedAdmg:
         Deterministic: among simultaneously available vertices the
         lexicographically smallest is emitted first.
         """
-        pool = set(self._vertices if scope is None else self.vertex_set(scope))
-        indeg = {v: sum(1 for p in self._parents[v] if p in pool) for v in pool}
-        ready = [v for v in pool if indeg[v] == 0]
-        heapq.heapify(ready)
-        out: list[str] = []
-        while ready:
-            v = heapq.heappop(ready)
-            out.append(v)
-            for c in self._children[v]:
-                if c in pool:
-                    indeg[c] -= 1
-                    if indeg[c] == 0:
-                        heapq.heappush(ready, c)
-        # construction guarantees acyclicity, so every vertex is emitted
-        return tuple(out)
+        pool = self._all if scope is None else self._mask(scope)
+        names = self._vertices
+        return tuple(names[i] for i in self._order(pool))
 
     def split_by_selection(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Partition the observed vertices by selection ancestry.
@@ -250,11 +234,8 @@ class AugmentedAdmg:
         of the selection vertex (the selection vertex itself excluded) and
         ``non_anc`` the remaining observed vertices.
         """
-        sel = self._require_selection()
-        anc = set(self.ancestors([sel]))
-        first = tuple(v for v in self.observed if v in anc)
-        second = tuple(v for v in self.observed if v not in anc)
-        return first, second
+        sel = 1 << self._index[self._require_selection()]
+        return self._names_of(self._sel_anc & ~sel), self._names_of(self._all & ~self._sel_anc)
 
     # -- helpers -----------------------------------------------------------
 
@@ -262,33 +243,86 @@ class AugmentedAdmg:
         """Sorted, validated tuple of vertex names; a bare string is refused."""
         out = _as_names(names)
         for v in out:
-            self._require(v)
+            if v not in self._index:
+                raise GraphError(f"unknown vertex {v!r}")
         return out
-
-    def _require(self, vertex: str) -> None:
-        if vertex not in self._parents:
-            raise GraphError(f"unknown vertex {vertex!r}")
 
     def _require_selection(self) -> str:
         if self._selection is None:
             raise GraphError("graph has no selection vertex")
         return self._selection
 
-    def _check_acyclic(self) -> None:
-        order = self.topological_order()
-        if len(order) == len(self._vertices):
-            return
-        remaining = set(self._vertices) - set(order)
-        # walk parent links inside the leftover set until a vertex repeats
-        v = min(remaining)
-        trail: list[str] = []
-        seen_at: dict[str, int] = {}
-        while v not in seen_at:
-            seen_at[v] = len(trail)
-            trail.append(v)
-            v = min(p for p in self._parents[v] if p in remaining)
-        cycle = trail[seen_at[v] :]
-        raise CycleError(reversed(cycle))
+    def _mask(self, names: Iterable[str]) -> int:
+        """The mask of a collection of names, validated as :meth:`vertex_set` does."""
+        if type(names) not in (tuple, list, set, frozenset):
+            names = self.vertex_set(names)  # a bare string or a one-shot iterable
+        index = self._index
+        mask = 0
+        try:
+            for v in names:
+                mask |= 1 << index[v]
+        except (KeyError, TypeError):
+            self.vertex_set(names)  # raises the documented GraphError
+            raise
+        return mask
+
+    def _names_of(self, mask: int) -> tuple[str, ...]:
+        """The sorted names of a mask's set bits."""
+        names = self._vertices
+        if mask.bit_count() > 8:
+            return tuple(itertools.compress(names, bin(mask)[:1:-1].encode().translate(_BITS)))
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+    def _flood(self, seeds: int, scope: int, adjacent: list[int]) -> int:
+        """``seeds`` plus every vertex reachable from them along ``adjacent``
+        (parents for ancestry, siblings for components) without leaving ``scope``."""
+        seen = frontier = seeds
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adjacent[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & scope & ~seen
+            seen |= frontier
+        return seen
+
+    def _order(self, pool: int) -> list[int]:
+        """Kahn's algorithm on the indices in ``pool``, always emitting the
+        lowest ready bit, i.e. the least name; a cycle leaves vertices out."""
+        pa, ch = self._pa, self._ch
+        out, left, ready = [], pool, 0
+        fresh = pool  # vertices that may have become ready: all, then children
+        while True:
+            while fresh:
+                low = fresh & -fresh
+                if not pa[low.bit_length() - 1] & left:
+                    ready |= low
+                fresh ^= low
+            if not ready:
+                return out
+            low = ready & -ready
+            ready ^= low
+            left ^= low
+            out.append(low.bit_length() - 1)
+            fresh = ch[out[-1]] & left
+
+    def _cycle(self) -> list[str]:
+        """A directed cycle among the vertices that :meth:`_order` leaves out:
+        least-parent links followed inside them until a vertex repeats."""
+        left = self._all
+        for i in self._order(self._all):
+            left ^= 1 << i
+        trail = [left & -left]
+        while trail[-1] not in trail[:-1]:
+            up = self._pa[trail[-1].bit_length() - 1] & left
+            trail.append(up & -up)
+        return [self._names_of(v)[0] for v in reversed(trail[trail.index(trail[-1]) : -1])]
 
     # -- dunder ------------------------------------------------------------
 
@@ -298,16 +332,24 @@ class AugmentedAdmg:
         return (
             self._vertices == other._vertices
             and self._selection == other._selection
-            and self._directed == other._directed
-            and self._bidirected == other._bidirected
+            and self._pa == other._pa
+            and self._sib == other._sib
         )
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._selection, self._directed, self._bidirected))
+        return hash((self._vertices, self._selection, tuple(self._pa), tuple(self._sib)))
 
     def __repr__(self) -> str:
         return (
             f"AugmentedAdmg({len(self._vertices)} vertices, "
-            f"{len(self._directed)} directed, {len(self._bidirected)} bidirected, "
+            f"{len(self.directed_edges)} directed, {len(self.bidirected_edges)} bidirected, "
             f"selection={self._selection!r})"
         )
+
+
+def _bits(mask: int):
+    """The indices of a mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

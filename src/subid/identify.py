@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
-from .components import _narrow, c_components, find_hedge, s_components
+from .components import _narrow, c_components, s_components
 from .estimand import (
     Estimand,
     QsFactor,
@@ -185,7 +185,7 @@ def s_id_single(
         raise GraphError(f"{{{', '.join(c)}}} is not a single s-component")
     if s_components(g, t) != [t]:
         raise GraphError(f"{{{', '.join(t)}}} is not a single s-component")
-    last, steps = _narrow(g, c, t, s_components)
+    last, steps = _narrow(g, c, t, g._sel_anc)
     return _replay(g, factor, steps) if last == c else None
 
 
@@ -213,7 +213,7 @@ def s_id(
     plans = []  # every component is decided before any factor is built
     for comp in s_components(g, d):
         t = next(t for t in enclosing if comp[0] in t)
-        last, steps = _narrow(g, comp, t, s_components)
+        last, steps = _narrow(g, comp, t, g._sel_anc)
         if last != comp:
             return IdentifyResult("fail", witness=HedgeWitness(comp, last))
         plans.append((t, steps))
@@ -263,7 +263,9 @@ def is_id(
     """
     x, y = _disjoint_sets(g, treatment, outcome)
     d = g.ancestors(y, within=set(g.vertices) - set(x))
+    whole = c_components(g)  # each component below starts from the one holding it
     for comp in c_components(g, d):
-        if find_hedge(g, comp) is not None:
+        start = next(t for t in whole if comp[0] in t)
+        if _narrow(g, comp, start)[0] != comp:
             return False
     return True

@@ -15,10 +15,9 @@ non-collider blocks exactly when the vertex is in the conditioning set.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
-from .graph import AugmentedAdmg, GraphError
+from .graph import AugmentedAdmg, GraphError, _bits
 
 __all__ = ["m_separated", "m_separated_bruteforce"]
 
@@ -30,16 +29,14 @@ def _checked_triple(
     first: Iterable[str],
     second: Iterable[str],
     conditioning: Iterable[str],
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    a = g.vertex_set(first)
-    b = g.vertex_set(second)
-    w = g.vertex_set(conditioning)
+) -> tuple[int, int, int]:
+    """The three sets as masks, checked to be pairwise disjoint."""
+    a, b, w = g._mask(first), g._mask(second), g._mask(conditioning)
     for left, right, what in ((a, b, "the two separated sets"),
                               (a, w, "the first set and the conditioning set"),
                               (b, w, "the second set and the conditioning set")):
-        overlap = sorted(set(left) & set(right))
-        if overlap:
-            raise GraphError(f"{what} overlap on {', '.join(overlap)}")
+        if left & right:
+            raise GraphError(f"{what} overlap on {', '.join(g._names_of(left & right))}")
     return a, b, w
 
 
@@ -57,30 +54,30 @@ def m_separated(
     if not a or not b:
         return True
 
-    w_set = set(w)
-    anc_w = set(g.ancestors(w))
-    targets = set(b)
-    # states: (node, arrived_through_a_head).  From a head-arrival the walk
-    # may leave towards a parent or sibling only as an open collider; every
-    # other continuation requires the node to be outside the conditioning set.
-    # The sources count as tail-arrivals: they are outside the conditioning set.
-    queue: deque[tuple[str, bool]] = deque((s, False) for s in a)
-    seen = set(queue)
-    while queue:
-        node, head = queue.popleft()
-        if node in targets:
+    anc_w = g._flood(w, g._all, g._pa)
+    pa, ch, sib = g._pa, g._ch, g._sib
+    # states are (node, arrived through a head), kept as one mask of nodes per
+    # arrival kind.  From a head-arrival the walk may leave towards a parent or
+    # sibling only as an open collider; every other continuation requires the
+    # node to be outside the conditioning set.  The sources count as
+    # tail-arrivals: they are outside the conditioning set.
+    tails, heads = a, 0
+    new_tails, new_heads = a, 0
+    while new_tails | new_heads:
+        if (new_tails | new_heads) & b:
             return False
-        steps = []
-        if node not in w_set:
-            steps += [(c, True) for c in g.children(node)]
-        if (head and node in anc_w) or (not head and node not in w_set):
-            steps += [(p, False) for p in g.parents(node)]
-            steps += [(s, True) for s in g.siblings(node)]
-        for state in steps:
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-
+        to_tails = to_heads = 0
+        for v in _bits(new_tails & ~w):
+            to_heads |= ch[v] | sib[v]
+            to_tails |= pa[v]
+        for v in _bits(new_heads & ~w):
+            to_heads |= ch[v]
+        for v in _bits(new_heads & anc_w):
+            to_tails |= pa[v]
+            to_heads |= sib[v]
+        new_tails, new_heads = to_tails & ~tails, to_heads & ~heads
+        tails |= new_tails
+        heads |= new_heads
     return True
 
 
@@ -100,7 +97,7 @@ def m_separated_bruteforce(
             f"brute-force m-separation is limited to {_BRUTE_FORCE_LIMIT} "
             f"vertices, got {len(g.vertices)}"
         )
-    a, b, w = _checked_triple(g, first, second, conditioning)
+    a, b, w = map(g._names_of, _checked_triple(g, first, second, conditioning))
     if not a or not b:
         return True
 

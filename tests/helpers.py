@@ -5,11 +5,13 @@ per-assignment mutilated joints for ground-truth factors, a scalar
 estimand evaluator, recursive LaTeX and JSON-object renderers, a plain-loop
 telescoping fixpoint, member-by-member c-factor telescoping, prefix
 marginals built afresh for every ratio, s_id assembled from whole
-decompositions, the s-hedge search as a fixpoint over parent sets, and
+decompositions, the s-hedge search as a fixpoint over parent sets,
+set-based graph closures, components and a heap topological order, and
 random models drawn table by table.  The point is
 that none of it shares code paths with the implementations under test.
 """
 
+import heapq
 import itertools
 
 import numpy as np
@@ -52,11 +54,18 @@ def iter_assignments(names, size_of):
 # -- random structures --------------------------------------------------------
 
 
-def random_admg(rng, n_obs=None, p_dir=0.3, p_bi=0.2, p_sel_dir=0.35, p_sel_bi=0.25):
-    """A random augmented graph over single-letter vertices plus selection S."""
-    if n_obs is None:
+def random_admg(
+    rng, n_obs=None, p_dir=0.3, p_bi=0.2, p_sel_dir=0.35, p_sel_bi=0.25, names=None
+):
+    """A random augmented graph over single-letter vertices plus selection S.
+
+    ``names`` replaces the letters (and ``n_obs``) with the given observed names.
+    """
+    if names is not None:
+        n_obs = len(names)
+    elif n_obs is None:
         n_obs = int(rng.integers(2, 7))
-    names = list(LETTERS[:n_obs])
+    names = list(LETTERS[:n_obs] if names is None else names)
     order = [names[i] for i in rng.permutation(n_obs)]
     directed = [
         (order[i], order[j])
@@ -70,6 +79,13 @@ def random_admg(rng, n_obs=None, p_dir=0.3, p_bi=0.2, p_sel_dir=0.35, p_sel_bi=0
     directed += [(v, "S") for v in names if rng.random() < p_sel_dir]
     bidirected += [(v, "S") for v in names if rng.random() < p_sel_bi]
     return AugmentedAdmg(names + ["S"], directed, bidirected, selection="S")
+
+
+def scrambled_names(rng, n):
+    """``n`` distinct vertex names in a random order, of mixed lengths, whose
+    sorted order is neither their numeric nor their insertion order."""
+    names = [f"V{i}" if i % 4 else f"w{i}x" for i in range(n)]
+    return [names[i] for i in rng.permutation(n)]
 
 
 def random_dag_admg(rng, n_obs=None, p_dir=0.4, p_sel_dir=0.4):
@@ -464,3 +480,70 @@ def evaluate_on_grid(expr, table, fixed_names, scm=None):
     for fixed in iter_assignments(fixed_names, size):
         out[tuple(sorted(fixed.items()))] = evaluate(expr, table, fixed)
     return out
+
+
+# -- set-based graph references -------------------------------------------------
+
+
+def ancestors_reference(g, seeds, within=None):
+    """Ancestry of ``seeds`` inside ``within`` by following parents one at a time."""
+    scope = set(g.vertices if within is None else within)
+    seen, frontier = set(seeds), list(seeds)
+    while frontier:
+        for p in g.parents(frontier.pop()):
+            if p in scope and p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    return tuple(sorted(seen))
+
+
+def c_components_reference(g, scope=None):
+    """Bidirected-connected classes of ``scope``, each seeded at ``min(unvisited)``."""
+    pool = set(g.vertices if scope is None else scope)
+    out, unvisited = [], set(pool)
+    while unvisited:
+        comp, frontier = {min(unvisited)}, [min(unvisited)]
+        while frontier:
+            for sib in g.siblings(frontier.pop()):
+                if sib in pool and sib not in comp:
+                    comp.add(sib)
+                    frontier.append(sib)
+        unvisited -= comp
+        out.append(tuple(sorted(comp)))
+    return sorted(out)
+
+
+def s_components_reference(g, members):
+    """Nonempty traces on ``members`` of the c-components of ``members`` plus
+    the selection vertex's whole ancestry."""
+    h = set(members)
+    anc = set(ancestors_reference(g, [g.selection]))
+    traces = (tuple(v for v in c if v in h) for c in c_components_reference(g, h | anc))
+    return sorted(t for t in traces if t)
+
+
+def topological_order_reference(g, scope=None):
+    """Kahn's algorithm with a heap: the least available name goes first."""
+    pool = set(g.vertices if scope is None else scope)
+    indeg = {v: sum(1 for p in g.parents(v) if p in pool) for v in pool}
+    ready = [v for v in pool if indeg[v] == 0]
+    heapq.heapify(ready)
+    out = []
+    while ready:
+        v = heapq.heappop(ready)
+        out.append(v)
+        for c in g.children(v):
+            if c in pool:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    heapq.heappush(ready, c)
+    return tuple(out)
+
+
+def split_by_selection_reference(g):
+    """Observed vertices split into selection ancestors and the rest."""
+    anc = set(ancestors_reference(g, [g.selection]))
+    return (
+        tuple(v for v in g.observed if v in anc),
+        tuple(v for v in g.observed if v not in anc),
+    )

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from subid import AugmentedAdmg, CycleError, GraphError, is_id, s_id
+from subid import AugmentedAdmg, CycleError, GraphError, c_components, is_id, s_components, s_id
 
-from helpers import random_admg
+from helpers import (
+    ancestors_reference,
+    c_components_reference,
+    random_admg,
+    s_components_reference,
+    scrambled_names,
+    split_by_selection_reference,
+    topological_order_reference,
+)
 
 
 def test_vertices_sorted_and_deduplicated():
@@ -92,8 +100,16 @@ def test_cycle_detected_alongside_acyclic_part():
         (lambda g: s_id(g, ["X", 1], ["Y"]), "1"),
         (lambda g: is_id(g, ["X"], ["Y", 2]), "2"),
         (lambda g: g.vertex_set(["X", ""]), "''"),
+        (lambda g: AugmentedAdmg(["A", "B"], [(["A"], "B")]), r"\['A'\]"),
+        (lambda g: AugmentedAdmg(["A", "B"], bidirected=[("A", ["B"])]), r"\['B'\]"),
+        (lambda g: AugmentedAdmg(["A", "B"], selection=["A"]), r"\['A'\]"),
+        (lambda g: g.parents(["X"]), r"\['X'\]"),
+        (lambda g: g.children(["X"]), r"\['X'\]"),
+        (lambda g: g.siblings(["X"]), r"\['X'\]"),
+        (lambda g: g.ancestors([["X"]]), r"\['X'\]"),
     ],
-    ids=["constructor", "vertex_set", "s_id", "is_id", "empty-name"],
+    ids=["constructor", "vertex_set", "s_id", "is_id", "empty-name", "directed-endpoint",
+         "bidirected-endpoint", "selection", "parents", "children", "siblings", "ancestors"],
 )
 def test_vertex_names_of_other_types_are_graph_errors(medication, call, bad):
     # checked before sorting, which would raise TypeError on mixed types
@@ -267,3 +283,52 @@ def test_bare_string_vertex_sets_rejected(recoverability):
     with pytest.raises(GraphError, match="got the string 'XYS'"):
         AugmentedAdmg("XYS", [("X", "Y")], selection="S")
     assert AugmentedAdmg(["XY", "S"], [("XY", "S")], selection="S").vertices == ("S", "XY")
+
+
+# -- the mask kernel against the set-based references ---------------------------
+
+
+@pytest.mark.parametrize("n_obs", [9, 23, 70, 130])
+def test_mask_kernel_matches_set_references(n_obs):
+    # scrambled names: "V10" sorts before "V2", and insertion order is random;
+    # 70 and 130 vertices put masks past one and two machine words
+    rng = np.random.default_rng(n_obs)
+    for _ in range(12 if n_obs < 100 else 4):
+        g = random_admg(
+            rng, names=scrambled_names(rng, n_obs), p_dir=2.5 / n_obs, p_bi=1.5 / n_obs,
+            p_sel_dir=4 / n_obs, p_sel_bi=2 / n_obs,
+        )
+        bar_in = [v for v in g.observed if rng.random() < 0.2]
+        bar_out = [v for v in g.observed if rng.random() < 0.2]
+        for h in (g, g.edge_surgery(bar_in, bar_out)):
+            assert h.split_by_selection() == split_by_selection_reference(h)
+            assert h.topological_order() == topological_order_reference(h)
+            assert c_components(h) == c_components_reference(h)
+            assert h.ancestors(["S"]) == ancestors_reference(h, ["S"])
+            for _ in range(5):
+                scope = [v for v in h.vertices if rng.random() < 0.6]
+                seeds = [v for v in scope if rng.random() < 0.2]
+                assert h.ancestors(seeds, within=scope) == ancestors_reference(h, seeds, scope)
+                assert h.topological_order(scope) == topological_order_reference(h, scope)
+                assert c_components(h, scope) == c_components_reference(h, scope)
+                members = [v for v in h.split_by_selection()[1] if rng.random() < 0.6]
+                assert s_components(h, members) == s_components_reference(h, members)
+
+
+def test_edge_surgery_equals_the_checked_construction():
+    rng = np.random.default_rng(6)
+    for _ in range(60):
+        g = random_admg(rng, names=scrambled_names(rng, int(rng.integers(3, 40))))
+        cut = g.edge_surgery(
+            [v for v in g.observed if rng.random() < 0.3],
+            [v for v in g.observed if rng.random() < 0.3],
+        )
+        rebuilt = AugmentedAdmg(
+            cut.vertices, cut.directed_edges, cut.bidirected_edges, selection=cut.selection
+        )
+        assert cut == rebuilt and hash(cut) == hash(rebuilt)
+        for v in g.vertices:
+            assert cut.parents(v) == rebuilt.parents(v)
+            assert cut.children(v) == rebuilt.children(v)
+            assert cut.siblings(v) == rebuilt.siblings(v)
+        assert cut.split_by_selection() == rebuilt.split_by_selection()

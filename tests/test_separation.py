@@ -7,7 +7,7 @@ import pytest
 
 from subid import AugmentedAdmg, GraphError, m_separated, m_separated_bruteforce
 
-from helpers import random_admg
+from helpers import random_admg, scrambled_names
 
 
 CHAIN = AugmentedAdmg(["A", "B", "C"], [("A", "B"), ("B", "C")])
@@ -141,6 +141,26 @@ def test_agreement_on_bidirected_dense_graphs():
             assert m_separated(g, a, b, w) == m_separated_bruteforce(g, a, b, w), (g, a, b, w)
             checked += 1
     assert checked == 900
+
+
+def test_agreement_after_edge_surgery():
+    # the cut graphs skip the constructor's checks; up to 11 observed + S = 12
+    rng = np.random.default_rng(8)
+    checked = 0
+    for _ in range(120):
+        g = random_admg(rng, names=scrambled_names(rng, int(rng.integers(3, 12))))
+        cut = g.edge_surgery(
+            [v for v in g.observed if rng.random() < 0.3],
+            [v for v in g.observed if rng.random() < 0.3],
+        )
+        verts = list(cut.vertices)
+        for _ in range(4):
+            picked = [verts[i] for i in rng.permutation(len(verts))]
+            a, b = picked[:1], picked[1:3]
+            w = [v for v in picked[3:] if rng.random() < 0.4]
+            assert m_separated(cut, a, b, w) == m_separated_bruteforce(cut, a, b, w), (cut, a, b, w)
+            checked += 1
+    assert checked == 480
 
 
 def test_set_valued_sides(hedges):
