@@ -11,8 +11,9 @@ A hedge for a bidirected-connected set Y is a strictly larger set H that is
 itself a single c-component and equals the ancestry of Y inside it; an
 s-hedge is the same shape with s-components.  Hedges are the obstruction to
 identification, s-hedges the obstruction in the sub-population setting.  One
-scope loop, :func:`_narrow`, searches for both: :func:`find_hedge` runs it on
-c-components, ``identify.s_id`` on s-components for its ``HedgeWitness``.
+scope loop, ``AugmentedAdmg._narrow``, searches for both: :func:`find_hedge`
+runs it on c-components, ``identify.s_id`` on s-components for its
+``HedgeWitness``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ def c_components(
 
     Components are sorted internally and listed by their least member.
     """
-    pool = g._all if scope is None else g._mask(scope)
-    return [g._names_of(p) for p in _parts(g, pool)]
+    return g._components(scope)
 
 
 def s_components(g: AugmentedAdmg, members: Iterable[str]) -> list[tuple[str, ...]]:
@@ -49,50 +49,13 @@ def s_components(g: AugmentedAdmg, members: Iterable[str]) -> list[tuple[str, ..
     induced subgraph on ``members`` plus every ancestor of the selection
     vertex (selection vertex included).
     """
-    h = g._mask(members)
-    g._require_selection()
-    if h & g._sel_anc:
-        raise GraphError(
-            "s-components are only defined for sets outside the selection "
-            f"vertex's ancestry; offending vertices: {', '.join(g._names_of(h & g._sel_anc))}"
-        )
-    return [g._names_of(p) for p in _parts(g, h, g._sel_anc)]
-
-
-def _part(g: AugmentedAdmg, seed: int, pool: int, around: int = 0) -> int:
-    """The component holding the bit ``seed`` of the mask ``pool``: a
-    c-component, or with ``around`` the selection ancestry an s-component."""
-    return g._flood(seed, pool | around, g._sib) & pool
-
-
-def _parts(g: AugmentedAdmg, pool: int, around: int = 0) -> list[int]:
-    """All components of ``pool``, each seeded at the least name left, so they
-    come listed by their least member."""
-    out = []
-    while pool:
-        out.append(_part(g, pool & -pool, pool, around))
-        pool &= ~out[-1]
-    return out
+    return g._components(members, selected=True)
 
 
 def is_ancestral(g: AugmentedAdmg, subset: Iterable[str], scope: Iterable[str]) -> bool:
     """True when ``subset`` is closed under taking parents inside ``scope``."""
     sub = g.vertex_set(subset)
     return g.ancestors(sub, within=scope) == sub
-
-
-def _narrow(g, c, t, around=0):
-    """Shrink the scope ``t``, one component holding the component ``c``, to
-    the component (:func:`_part` with ``around``) holding ``c`` of the ancestry
-    of ``c`` within it, until that ancestry is all of ``t``.  Returns the last
-    scope, ``c`` or else a hedge for ``c``, and the steps, each the pair
-    (ancestry, component holding ``c``), all as name tuples."""
-    c, t = g._mask(c), g._mask(t)
-    steps = []
-    while (anc := g._flood(c, t, g._pa)) != t:
-        t = c if anc == c else _part(g, c & -c, anc, around)
-        steps.append((anc, t))
-    return g._names_of(t), [(g._names_of(a), g._names_of(p)) for a, p in steps]
 
 
 def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | None:
@@ -109,7 +72,7 @@ def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | No
     if c_components(g, y) != [y]:
         raise GraphError(f"outcome {{{', '.join(y)}}} is not a single c-component")
     start = next(c for c in c_components(g) if y[0] in c)
-    last, _ = _narrow(g, y, start)
+    last, _ = g._narrow(y, start)
     return None if last == y else last
 
 

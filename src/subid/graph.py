@@ -13,7 +13,9 @@ in sorted-name order and a vertex set is an int bitmask (bit ``i`` for the
 ``i``-th name), with parents, children and siblings one mask per vertex: the
 set bits, read low to high, are a sorted name tuple, and the lowest is the
 least name.  Names are converted only at the public boundary (``_mask``,
-``_names_of``).
+``_names_of``), and only this module reads the masks: the component floods,
+the hedge scope loop and the m-connection walk that the other modules need
+are private methods here that take and return names.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ import itertools
 from typing import Iterable
 
 __all__ = ["AugmentedAdmg", "GraphError", "CycleError"]
-
-# bin() digits to the 0/1 bytes that itertools.compress reads as selectors
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class GraphError(ValueError):
@@ -268,15 +267,7 @@ class AugmentedAdmg:
 
     def _names_of(self, mask: int) -> tuple[str, ...]:
         """The sorted names of a mask's set bits."""
-        names = self._vertices
-        if mask.bit_count() > 8:
-            return tuple(itertools.compress(names, bin(mask)[:1:-1].encode().translate(_BITS)))
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(names[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
+        return tuple(map(self._vertices.__getitem__, _bits(mask)))
 
     def _flood(self, seeds: int, scope: int, adjacent: list[int]) -> int:
         """``seeds`` plus every vertex reachable from them along ``adjacent``
@@ -284,10 +275,8 @@ class AugmentedAdmg:
         seen = frontier = seeds
         while frontier:
             reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adjacent[low.bit_length() - 1]
-                frontier ^= low
+            for i in _bits(frontier):
+                reach |= adjacent[i]
             frontier = reach & scope & ~seen
             seen |= frontier
         return seen
@@ -299,11 +288,9 @@ class AugmentedAdmg:
         out, left, ready = [], pool, 0
         fresh = pool  # vertices that may have become ready: all, then children
         while True:
-            while fresh:
-                low = fresh & -fresh
-                if not pa[low.bit_length() - 1] & left:
-                    ready |= low
-                fresh ^= low
+            for i in _bits(fresh):
+                if not pa[i] & left:
+                    ready |= 1 << i
             if not ready:
                 return out
             low = ready & -ready
@@ -323,6 +310,73 @@ class AugmentedAdmg:
             up = self._pa[trail[-1].bit_length() - 1] & left
             trail.append(up & -up)
         return [self._names_of(v)[0] for v in reversed(trail[trail.index(trail[-1]) : -1])]
+
+    # -- components, the hedge scope loop, m-connection -------------------
+
+    def _components(self, vertices=None, selected=False) -> list[tuple[str, ...]]:
+        """The components of ``vertices`` (default all), each seeded at the
+        least name left, so listed by least member: c-components, or with
+        ``selected`` s-components (see :mod:`.components`)."""
+        pool = self._all if vertices is None else self._mask(vertices)
+        if selected and self._require_selection() and pool & self._sel_anc:
+            bad = ", ".join(self._names_of(pool & self._sel_anc))
+            raise GraphError(
+                "s-components are only defined for sets outside the selection "
+                f"vertex's ancestry; offending vertices: {bad}"
+            )
+        out = []
+        while pool:
+            out.append(self._component(pool & -pool, pool, selected))
+            pool &= ~out[-1]
+        return [self._names_of(p) for p in out]
+
+    def _component(self, seed: int, pool: int, selected: bool) -> int:
+        """The component of ``pool`` holding the bit ``seed``; an s-component
+        is the flood through the selection ancestry, traced on ``pool``."""
+        return self._flood(seed, pool | self._sel_anc if selected else pool, self._sib) & pool
+
+    def _narrow(self, c, t, selected=False):
+        """Shrink the scope ``t``, one component holding the component ``c``,
+        to the component holding ``c`` of the ancestry of ``c`` within it,
+        until that ancestry is all of ``t``.  Returns the last scope, ``c`` or
+        else a hedge (with ``selected`` an s-hedge) for ``c``, and the steps,
+        each the pair (ancestry, component holding ``c``), as name tuples."""
+        c, t = self._mask(c), self._mask(t)
+        steps = []
+        while (anc := self._flood(c, t, self._pa)) != t:
+            t = c if anc == c else self._component(c & -c, anc, selected)
+            steps.append((anc, t))
+        return self._names_of(t), [(self._names_of(a), self._names_of(p)) for a, p in steps]
+
+    def _m_connected(self, first, second, conditioning) -> bool:
+        """Whether a path that ``conditioning`` leaves open joins the first two
+        sets (the blocking rule is in :mod:`.separation`)."""
+        a, b, w = self._mask(first), self._mask(second), self._mask(conditioning)
+        anc_w = self._flood(w, self._all, self._pa)
+        pa, ch, sib = self._pa, self._ch, self._sib
+        # states are (node, arrived through a head), kept as one mask of nodes per
+        # arrival kind.  From a head-arrival the walk may leave towards a parent or
+        # sibling only as an open collider; every other continuation requires the
+        # node to be outside the conditioning set.  The sources count as
+        # tail-arrivals: they are outside the conditioning set.
+        tails, heads = a, 0
+        new_tails, new_heads = a, 0
+        while new_tails | new_heads:
+            if (new_tails | new_heads) & b:
+                return True
+            to_tails = to_heads = 0
+            for v in _bits(new_tails & ~w):
+                to_heads |= ch[v] | sib[v]
+                to_tails |= pa[v]
+            for v in _bits(new_heads & ~w):
+                to_heads |= ch[v]
+            for v in _bits(new_heads & anc_w):
+                to_tails |= pa[v]
+                to_heads |= sib[v]
+            new_tails, new_heads = to_tails & ~tails, to_heads & ~heads
+            tails |= new_tails
+            heads |= new_heads
+        return False
 
     # -- dunder ------------------------------------------------------------
 

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
-from .components import _narrow, c_components, s_components
+from .components import c_components, s_components
 from .estimand import (
     Estimand,
     QsFactor,
@@ -155,8 +155,9 @@ def sid_separation(
 
 
 def _replay(g: AugmentedAdmg, factor: QsFactor, steps) -> QsFactor:
-    """The factor that the ``steps`` of :func:`_narrow` reach from ``factor``:
-    marginalize to each ancestry, then take one s-component when it splits."""
+    """The factor that the ``steps`` of ``AugmentedAdmg._narrow`` reach from
+    ``factor``: marginalize to each ancestry, then take one s-component when
+    it splits."""
     for anc, part in steps:
         factor = qs_marginalize(g, factor, anc)
         if part != anc:
@@ -185,7 +186,7 @@ def s_id_single(
         raise GraphError(f"{{{', '.join(c)}}} is not a single s-component")
     if s_components(g, t) != [t]:
         raise GraphError(f"{{{', '.join(t)}}} is not a single s-component")
-    last, steps = _narrow(g, c, t, g._sel_anc)
+    last, steps = g._narrow(c, t, selected=True)
     return _replay(g, factor, steps) if last == c else None
 
 
@@ -213,7 +214,7 @@ def s_id(
     plans = []  # every component is decided before any factor is built
     for comp in s_components(g, d):
         t = next(t for t in enclosing if comp[0] in t)
-        last, steps = _narrow(g, comp, t, g._sel_anc)
+        last, steps = g._narrow(comp, t, selected=True)
         if last != comp:
             return IdentifyResult("fail", witness=HedgeWitness(comp, last))
         plans.append((t, steps))
@@ -266,6 +267,6 @@ def is_id(
     whole = c_components(g)  # each component below starts from the one holding it
     for comp in c_components(g, d):
         start = next(t for t in whole if comp[0] in t)
-        if _narrow(g, comp, start)[0] != comp:
+        if g._narrow(comp, start)[0] != comp:
             return False
     return True

@@ -2,8 +2,9 @@
 
 Two implementations are provided on purpose.  :func:`m_separated` is the
 production algorithm: a reachability ("ball-passing") walk over the mixed
-graph itself, in which a bidirected edge is left like an edge towards a
-parent and entered through a head, as an edge from a parent is.
+graph itself (``AugmentedAdmg._m_connected``, on the graph's vertex masks), in
+which a bidirected edge is left like an edge towards a parent and entered
+through a head, as an edge from a parent is.
 :func:`m_separated_bruteforce` enumerates simple paths and applies the
 blocking definition literally; it exists as an oracle for the fast
 implementation and is capped at small graphs.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import AugmentedAdmg, GraphError, _bits
+from .graph import AugmentedAdmg, GraphError
 
 __all__ = ["m_separated", "m_separated_bruteforce"]
 
@@ -29,14 +30,16 @@ def _checked_triple(
     first: Iterable[str],
     second: Iterable[str],
     conditioning: Iterable[str],
-) -> tuple[int, int, int]:
-    """The three sets as masks, checked to be pairwise disjoint."""
-    a, b, w = g._mask(first), g._mask(second), g._mask(conditioning)
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    a = g.vertex_set(first)
+    b = g.vertex_set(second)
+    w = g.vertex_set(conditioning)
     for left, right, what in ((a, b, "the two separated sets"),
                               (a, w, "the first set and the conditioning set"),
                               (b, w, "the second set and the conditioning set")):
-        if left & right:
-            raise GraphError(f"{what} overlap on {', '.join(g._names_of(left & right))}")
+        overlap = sorted(set(left) & set(right))
+        if overlap:
+            raise GraphError(f"{what} overlap on {', '.join(overlap)}")
     return a, b, w
 
 
@@ -50,35 +53,7 @@ def m_separated(
 
     The sets must be pairwise disjoint.  Either side being empty yields True.
     """
-    a, b, w = _checked_triple(g, first, second, conditioning)
-    if not a or not b:
-        return True
-
-    anc_w = g._flood(w, g._all, g._pa)
-    pa, ch, sib = g._pa, g._ch, g._sib
-    # states are (node, arrived through a head), kept as one mask of nodes per
-    # arrival kind.  From a head-arrival the walk may leave towards a parent or
-    # sibling only as an open collider; every other continuation requires the
-    # node to be outside the conditioning set.  The sources count as
-    # tail-arrivals: they are outside the conditioning set.
-    tails, heads = a, 0
-    new_tails, new_heads = a, 0
-    while new_tails | new_heads:
-        if (new_tails | new_heads) & b:
-            return False
-        to_tails = to_heads = 0
-        for v in _bits(new_tails & ~w):
-            to_heads |= ch[v] | sib[v]
-            to_tails |= pa[v]
-        for v in _bits(new_heads & ~w):
-            to_heads |= ch[v]
-        for v in _bits(new_heads & anc_w):
-            to_tails |= pa[v]
-            to_heads |= sib[v]
-        new_tails, new_heads = to_tails & ~tails, to_heads & ~heads
-        tails |= new_tails
-        heads |= new_heads
-    return True
+    return not g._m_connected(*_checked_triple(g, first, second, conditioning))
 
 
 def m_separated_bruteforce(
@@ -97,7 +72,7 @@ def m_separated_bruteforce(
             f"brute-force m-separation is limited to {_BRUTE_FORCE_LIMIT} "
             f"vertices, got {len(g.vertices)}"
         )
-    a, b, w = map(g._names_of, _checked_triple(g, first, second, conditioning))
+    a, b, w = _checked_triple(g, first, second, conditioning)
     if not a or not b:
         return True
 
