@@ -24,8 +24,8 @@ DEMO_TOLERANCE = 1e-9
 
 def _load_graph(path: str) -> AugmentedAdmg:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}") from exc
     try:
         return parse_graph(text).graph

@@ -24,9 +24,13 @@ cancelled, empty sums disappear, and trivial quotients collapse.  Every tree
 built this way, or read back with :func:`from_json`, is in canonical form, and
 canonicalizing preserves evaluation exactly on strictly positive tables.
 
-Canonicalizing costs about the size of its output: the text of two factors is
-compared lazily, as streams read only up to their first difference, and
-telescoping partners are looked up in indexes keyed by what a node holds
+Canonicalizing costs about the size of its output.  Each ``Prob`` and
+``SumOver`` formats its own label once, at construction, into a field that
+equality, hashing and repr ignore, so rendering and sorting never rebuild it.
+Factors sort by their first two text pieces, joined once per factor; only
+where one head is a prefix of the other are the two texts compared lazily, as
+streams read up to their first difference.
+Telescoping partners are looked up in indexes keyed by what a node holds
 itself (its names, or only its type), never by rendering or hashing subtrees.
 Every walk over a tree uses an explicit stack, so free variables, evaluation,
 text, latex and the JSON object work at any depth.  Only JSON text, which the
@@ -43,7 +47,7 @@ import itertools
 import json
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Union
@@ -89,12 +93,21 @@ class PositivityError(ValueError):
 class Prob:
     of: tuple[str, ...]
     given: tuple[str, ...] = ()
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        given = ",".join(self.given + ("S=1",))
+        object.__setattr__(self, "text", f"P({','.join(self.of)}|{given})")
 
 
 @dataclass(frozen=True)
 class SumOver:
     over: tuple[str, ...]
     body: "Estimand"
+    names: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "names", ",".join(self.over))
 
 
 @dataclass(frozen=True)
@@ -184,8 +197,26 @@ def _flatten(factors: Iterable[Estimand]) -> list[Estimand]:
             flat.append(f)
         elif not isinstance(f, One):
             raise TypeError(f"not an estimand node: {f!r}")
-    flat.sort(key=functools.cmp_to_key(_text_order))
+    if len(flat) > 1:
+        flat.sort(key=_TextKey)
     return flat
+
+
+class _TextKey:
+    """Sort key of a factor: the first two pieces of its text, read once, and
+    :func:`_text_order` only when one head is a prefix of the other."""
+
+    __slots__ = ("factor", "head")
+
+    def __init__(self, factor: Estimand) -> None:
+        self.factor = factor
+        self.head = "".join(itertools.islice(_pieces(factor, "Σ"), 2))
+
+    def __lt__(self, other: _TextKey) -> bool:
+        a, b = self.head, other.head
+        if a.startswith(b) or b.startswith(a):  # the heads agree as far as both go
+            return _text_order(self.factor, other.factor) < 0
+        return a < b
 
 
 def _text_order(a: Estimand, b: Estimand) -> int:
@@ -446,12 +477,12 @@ def _pieces(e: Estimand, sum_symbol: str) -> Iterator[str]:
         if isinstance(node, str):
             yield node
         elif isinstance(node, Prob):
-            yield f"P({','.join(node.of)}|{','.join(node.given + ('S=1',))})"
+            yield node.text
         elif isinstance(node, Quotient):  # pushed last to first
             for side in (node.den, " / ", node.num):
                 stack += (side,) if isinstance(side, (str, Prob, One)) else (")", side, "(")
         elif isinstance(node, SumOver):
-            yield f"{sum_symbol}_{{{','.join(node.over)}}} "
+            yield f"{sum_symbol}_{{{node.names}}} "
             stack.append(node.body)
         elif isinstance(node, Product):
             for k, f in enumerate(reversed(node.factors)):

@@ -68,7 +68,10 @@ def parse_graph(text: str) -> GraphDocument:
     selects: list[tuple[str, int]] = []
     edge_lines: dict[tuple[str, str, str], tuple[int, int]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only \n, \r\n and \r end a line: str.splitlines would also break at \x0b,
+    # \x0c, \x1c-\x1e, \x85, \u2028 and \u2029, which statements read as whitespace
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: subset enumeration for hedges,
 per-assignment mutilated joints for ground-truth factors, a scalar
-estimand evaluator, recursive LaTeX and JSON-object renderers, a plain-loop
+estimand evaluator, recursive text, LaTeX and JSON-object renderers, a plain-loop
 telescoping fixpoint, member-by-member c-factor telescoping, prefix
 marginals built afresh for every ratio, s_id assembled from whole
 decompositions, the s-hedge search as a fixpoint over parent sets,
@@ -199,6 +199,27 @@ def evaluate_scalar(e, table, fixed=None):
 
 
 # -- recursive renderers ----------------------------------------------------------
+
+
+def text_reference(e, sum_symbol="Σ"):
+    """``render(e, "text")`` by plain recursion, each label formatted anew
+    from the node's names."""
+    def side(f):  # a bare probability or unit needs no parentheses
+        s = text_reference(f, sum_symbol)
+        return s if isinstance(f, (Prob, One)) else f"({s})"
+
+    if isinstance(e, One):
+        return "1"
+    if isinstance(e, Prob):
+        return f"P({','.join(e.of)}|{','.join(e.given + ('S=1',))})"
+    if isinstance(e, SumOver):
+        return f"{sum_symbol}_{{{','.join(e.over)}}} {text_reference(e.body, sum_symbol)}"
+    if isinstance(e, Product):
+        return " ".join(
+            side(f) if isinstance(f, Quotient) else text_reference(f, sum_symbol)
+            for f in e.factors
+        )
+    return f"{side(e.num)} / {side(e.den)}"
 
 
 def latex_reference(e):

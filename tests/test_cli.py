@@ -154,6 +154,18 @@ def test_missing_graph_file_is_usage_error(capsys, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["identify", "verify"])
+def test_graph_file_not_utf8_is_usage_error(capsys, tmp_path, command):
+    latin1 = tmp_path / "latin1.g"
+    latin1.write_bytes(b"X -> Y\n# caf\xe9\nY -> S\n")
+    code, _, err = run(
+        capsys, command, "--graph", str(latin1), "--treatment", "X", "--outcome", "Y",
+    )
+    assert code == 1
+    assert f"cannot read {latin1}: 'utf-8' codec can't decode byte 0xe9" in err
+    assert "Traceback" not in err
+
+
 def test_parse_error_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.g"
     bad.write_text("A -- B\n")

@@ -1,8 +1,10 @@
 """Estimand trees: construction (telescoping included), rendering, evaluation,
 serialization, and the symbolic post-intervention factors built on top of them."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import re
 
@@ -52,6 +54,7 @@ from helpers import (
     random_query,
     random_table,
     telescope_reference,
+    text_reference,
     to_dict_reference,
 )
 
@@ -133,8 +136,35 @@ def test_product_flattens_and_sorts():
         times = sum_over(["X"], product([a, second]))
         want = tuple(sorted([times, over], key=render))
         assert product([times, over]).factors == product([over, times]).factors == want
+    # a head that is a strict prefix of another head, while its text goes on:
+    # "P(X|S=1) / " + "P(Z|S=1)" sorts after "P(X|S=1) / A|S=1)"
+    odd, ratio = prob(["X|S=1) / A"]), quotient(prob(["X"]), prob(["Z"]))
+    assert product([ratio, odd]).factors == product([odd, ratio]).factors == (odd, ratio)
     with pytest.raises(TypeError, match="not an estimand node"):
         product([object()])
+
+
+def test_labels_are_invisible_to_equality_hash_and_repr():
+    p, s = prob(["B", "A"], ["C"]), sum_over(["B", "A"], prob(["A"]))
+    assert (p.text, s.names) == ("P(A,B|C,S=1)", "A,B")
+    # a node with a wrong label is still equal to, and hashes like, the right one
+    p_bad, s_bad = Prob(p.of, p.given), SumOver(s.over, s.body)
+    object.__setattr__(p_bad, "text", "P(Q|S=1)")
+    object.__setattr__(s_bad, "names", "Q")
+    assert (p_bad, hash(p_bad)) == (p, hash(p))
+    assert (s_bad, hash(s_bad)) == (s, hash(s))
+    assert repr(p) == "Prob(of=('A', 'B'), given=('C',))"
+    assert repr(s) == "SumOver(over=('A', 'B'), body=Prob(of=('A',), given=()))"
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))])
+def test_copies_keep_the_labels(clone):
+    e = product([prob(["B"], ["A"]), sum_over(["A", "C"], prob(["A", "C"], ["B"]))])
+    c = clone(e)
+    assert c == e
+    assert [f.text if isinstance(f, Prob) else f.names for f in c.factors] == ["P(B|A,S=1)", "A,C"]
+    assert c.factors[1].body.text == "P(A,C|B,S=1)"
+    assert render(c, "text") == render(e, "text")
 
 
 def test_quotient_identities():
@@ -284,6 +314,17 @@ def test_latex_and_dict_match_recursive_references(seed):
     for e in exprs:
         assert render(e, "latex") == latex_reference(e)
         assert estimand_to_dict(e) == to_dict_reference(e)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_text_matches_recursive_reference(seed):
+    rng = np.random.default_rng(seed)
+    _, exprs = _identification_estimands(rng)
+    exprs.append(random_estimand(rng, "ABCDE", depth=int(rng.integers(0, 5))))
+    for e in exprs:
+        assert render(e, "text") == text_reference(e, "Σ")
+        assert render(e, "text", unicode_sum=False) == text_reference(e, "Sum")
 
 
 def test_render_unknown_format():
@@ -706,19 +747,28 @@ _BODY = product([prob(["A"], _TAIL), prob(["B"], _TAIL)])
 
 def text_ordered_factor_lists():
     """Factor lists whose texts share long prefixes or suffixes, or are strict
-    prefixes of one another (f and f / P(Z|S=1)).  Nothing cancels: every
-    denominator is a P(Z...) that is neither a factor nor a numerator."""
+    prefixes of one another (f and f / P(Z|S=1)).  Many share their first two
+    pieces, so the sort reads past them: sums of one body and of that body
+    times more, and quotients of one numerator over different denominators.
+    Nothing cancels: every denominator is a P(Z...) that is neither a factor
+    nor a numerator."""
     names = st.sets(st.sampled_from(["A", "B", "C"]), min_size=1)
     base = st.one_of(
         estimands().filter(lambda e: isinstance(e, (Prob, SumOver))),
         st.builds(lambda of: prob(of, _TAIL), names),
         st.builds(lambda over: sum_over(over, _BODY), names),
+        st.builds(lambda over: sum_over(over, _BODY.factors[0]), names),
     )
     den = st.sets(st.sampled_from(["Z1", "Z2", "Z3"]), min_size=1).map(prob)
-    shape = st.sampled_from(["plain", "quotient", "pair"])
+    shape = st.sampled_from(["plain", "quotient", "pair", "dens"])
 
     def item(f, d, how):
-        return {"plain": [f], "quotient": [quotient(f, d)], "pair": [f, quotient(f, d)]}[how]
+        return {
+            "plain": [f],
+            "quotient": [quotient(f, d)],
+            "pair": [f, quotient(f, d)],
+            "dens": [quotient(f, d), quotient(f, prob(d.of + ("Z4",)))],
+        }[how]
 
     items = st.lists(st.builds(item, base, den, shape), min_size=2, max_size=8)
     return items.map(lambda groups: [f for g in groups for f in g]).flatmap(st.permutations)

@@ -72,6 +72,16 @@ def test_parse_error_reports_position():
     assert "cannot parse statement 'A -- B'" in str(info.value)
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_newlines_end_lines(sep):
+    with pytest.raises(ParseError) as info:
+        parse_graph(f"A -> B{sep}foo\n")
+    assert (info.value.line, info.value.column) == (1, 1)
+    doc = parse_graph(f"# note{sep}A -> C\r\nA -> B{sep}\rB <-> C\n")
+    assert doc.graph.directed_edges == (("A", "B"),)
+    assert doc.edge_lines == {("->", "A", "B"): (2, 1), ("<->", "B", "C"): (3, 1)}
+
+
 def test_parse_error_on_bad_name():
     with pytest.raises(ParseError):
         parse_graph("1A -> B")
