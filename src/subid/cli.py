@@ -208,3 +208,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:  # pragma: no cover - exercised via console script
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -25,15 +25,15 @@ built this way, or read back with :func:`from_json`, is in canonical form, and
 canonicalizing preserves evaluation exactly on strictly positive tables.
 
 Canonicalizing costs about the size of its output.  Each ``Prob`` and
-``SumOver`` formats its own label once, at construction, into a field that
-equality, hashing and repr ignore, so rendering and sorting never rebuild it.
+``SumOver`` formats its own text label once, at construction, into a field
+that equality, hashing and repr ignore, so text and sorting never rebuild it.
 Factors sort by their first two text pieces, joined once per factor; only
-where one head is a prefix of the other are the two texts compared lazily, as
-streams read up to their first difference.
+where one head is a prefix of the other are the two whole texts compared.
 Telescoping partners are looked up in indexes keyed by what a node holds
 itself (its names, or only its type), never by rendering or hashing subtrees.
 Every walk over a tree uses an explicit stack, so free variables, evaluation,
-text, latex and the JSON object work at any depth.  Only JSON text, which the
+text, latex and the JSON object work at any depth; latex streams left to
+right like text and holds no subtree strings.  Only JSON text, which the
 ``json`` module writes and reads recursively, and :func:`estimand_from_dict`
 raise ``ValueError`` for trees nested deeper than the interpreter stack allows.
 """
@@ -48,7 +48,6 @@ import json
 import numbers
 import operator
 from dataclasses import dataclass, field
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Union
 
@@ -176,8 +175,8 @@ def product(factors: Iterable[Estimand]) -> Estimand:
     """Product of factors, flattened, unit-free, ordered by rendered text, with
     telescoping quotient chains cancelled: (x/y)(y/z) -> x/z, f(g/f) -> g.
 
-    The order is that of ``render(f, "text")``, but two factors are compared
-    by reading their texts only up to the first difference."""
+    The order is that of ``render(f, "text")``; whole texts are built only
+    for two factors whose first two text pieces agree as far as both go."""
     flat = _flatten(factors)
     while _telescope(flat):
         flat = _flatten(flat)
@@ -203,8 +202,8 @@ def _flatten(factors: Iterable[Estimand]) -> list[Estimand]:
 
 
 class _TextKey:
-    """Sort key of a factor: the first two pieces of its text, read once, and
-    :func:`_text_order` only when one head is a prefix of the other."""
+    """Sort key of a factor: the first two pieces of its text, read once.  Only
+    where one head is a prefix of the other are the two whole texts compared."""
 
     __slots__ = ("factor", "head")
 
@@ -215,32 +214,8 @@ class _TextKey:
     def __lt__(self, other: _TextKey) -> bool:
         a, b = self.head, other.head
         if a.startswith(b) or b.startswith(a):  # the heads agree as far as both go
-            return _text_order(self.factor, other.factor) < 0
+            return "".join(_pieces(self.factor, "Σ")) < "".join(_pieces(other.factor, "Σ"))
         return a < b
-
-
-def _text_order(a: Estimand, b: Estimand) -> int:
-    """The sign of comparing ``render(a, "text")`` with ``render(b, "text")``,
-    read piece by piece up to the first difference."""
-    left, right = _pieces(a, "Σ"), _pieces(b, "Σ")
-    x = y = ""
-    while True:
-        if not x:
-            x = next(left, None)
-            if x is None:
-                return -1 if y or any(right) else 0
-        if not y:
-            y = next(right, None)
-            if y is None:
-                return 1
-        if x == y:
-            x = y = ""
-        elif x.startswith(y):
-            x, y = x[len(y):], ""
-        elif y.startswith(x):
-            x, y = "", y[len(x):]
-        else:  # the two differ before either ends
-            return -1 if x < y else 1
 
 
 def _shallow(e: Estimand) -> object:
@@ -504,33 +479,35 @@ def _nesting_limit():
         raise ValueError("estimand nesting is too deep") from None
 
 
-def _latex(e: Estimand) -> str:
-    order = _postorder(e)
-    unread = Counter(id(child) for node in order for child in _children(node))
-    out: dict[int, str] = {}
-
-    def read(child: Estimand) -> str:  # the last parent to read a string drops it
-        unread[id(child)] -= 1
-        return out[id(child)] if unread[id(child)] else out.pop(id(child))
-
-    for node in order:
-        if isinstance(node, One):
-            s = "1"
+def _latex(e: Estimand) -> Iterator[str]:
+    """The LaTeX form of ``e``, yielded left to right from one explicit stack
+    like :func:`_pieces`; each ``Prob`` label is formatted once per call."""
+    labels: dict[int, str] = {}
+    stack: list[Estimand | str] = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            yield node
         elif isinstance(node, Prob):
-            s = f"P({', '.join(node.of)} \\mid {', '.join(node.given + ('S=1',))})"
+            label = labels.get(id(node))
+            if label is None:
+                given = ", ".join(node.given + ("S=1",))
+                label = labels[id(node)] = f"P({', '.join(node.of)} \\mid {given})"
+            yield label
+        elif isinstance(node, Quotient):  # pushed last to first
+            stack += ("}", node.den, "}{", node.num, "\\frac{")
         elif isinstance(node, SumOver):
-            s = f"\\sum_{{{', '.join(node.over)}}} {read(node.body)}"
+            yield f"\\sum_{{{', '.join(node.over)}}} "
+            stack.append(node.body)
         elif isinstance(node, Product):
-            s = " ".join(
-                f"\\left({read(f)}\\right)" if isinstance(f, SumOver) else read(f)
-                for f in node.factors
-            )
-        elif isinstance(node, Quotient):
-            s = f"\\frac{{{read(node.num)}}}{{{read(node.den)}}}"
+            for k, f in enumerate(reversed(node.factors)):
+                if k:
+                    stack.append(" ")
+                stack += ("\\right)", f, "\\left(") if isinstance(f, SumOver) else (f,)
+        elif isinstance(node, One):
+            yield "1"
         else:
             raise TypeError(f"not an estimand node: {node!r}")
-        out[id(node)] = s
-    return out[id(e)]
 
 
 def estimand_to_dict(e: Estimand) -> dict:
@@ -603,7 +580,7 @@ def render(e: Estimand, fmt: str = "text", *, unicode_sum: bool = True) -> str:
     if fmt == "text":
         return "".join(_pieces(e, "Σ" if unicode_sum else "Sum"))
     if fmt == "latex":
-        return _latex(e)
+        return "".join(_latex(e))
     if fmt == "json":
         return to_json(e)
     raise ValueError(f"unknown render format {fmt!r} (expected text, latex, or json)")

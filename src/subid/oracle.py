@@ -58,6 +58,11 @@ class ProbabilityTable:
             raise ValueError("variables must be sorted")
         if len(set(self._variables)) != len(self._variables):
             raise ValueError("duplicate variable names")
+        domains = tuple(domains)
+        if len(domains) != len(self._variables):
+            raise ValueError(
+                f"{len(self._variables)} variables but {len(domains)} domain sizes"
+            )
         self._domains = dict(zip(self._variables, domains))
         arr = np.asarray(values, dtype=float)
         if arr.shape != tuple(self._domains[v] for v in self._variables):
@@ -101,7 +106,7 @@ class ProbabilityTable:
 
     def marginal(self, keep: Iterable[str]) -> "ProbabilityTable":
         names = tuple(sorted(set(keep)))
-        shape = tuple(self._domains[v] for v in names)
+        shape = tuple(map(self.domain_size, names))
         arr = self.marginal_array(names).reshape(shape)
         return ProbabilityTable(names, shape, arr, normalized=False)
 

@@ -117,6 +117,11 @@ def serialize_graph(g: AugmentedAdmg) -> str:
         raise ValueError(
             "cannot serialize a graph with a vertex named 'S' but no selection"
         )
+    unnamed = [v for v in g.vertices if not re.fullmatch(_NAME, v)]
+    if unnamed:
+        raise ValueError(
+            f"cannot serialize vertex {unnamed[0]!r}: names must match {_NAME}"
+        )
     in_edges = {v for e in g.directed_edges for v in e}
     in_edges |= {v for e in g.bidirected_edges for v in e}
     lines = [f"node {v}" for v in g.vertices if v not in in_edges and v != g.selection]

@@ -277,6 +277,25 @@ sys.exit("numpy" in sys.modules)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_module_entry_point_runs_the_cli():
+    # ``python -m subid.cli`` from a source tree, without the console script
+    src = os.path.dirname(os.path.dirname(subid.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "subid.cli", "identify", "--graph", MEDICATION, *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    proc = run_module("--treatment", "X", "--outcome", "Y")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "Sum_{Z} (P(X,Y|Z,S=1) / (Sum_{Y} P(X,Y|Z,S=1))) P(Z|S=1)\n"
+    proc = run_module("--treatment", "Q", "--outcome", "Y")
+    assert proc.returncode == 1
+    assert "unknown vertices Q" in proc.stderr
+
+
 def test_oracle_names_are_served_by_the_package():
     assert subid.verify is subid.oracle.verify
     namespace = {}

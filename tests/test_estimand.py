@@ -301,6 +301,16 @@ def test_render_latex():
     assert render(e2, "latex") == (
         "P(Z \\mid S=1) \\left(\\sum_{A} P(A \\mid Z, S=1)\\right)"
     )
+    # one Prob object under three parents, a sum in a quotient's denominator
+    # and one in a product, and a second Prob with the same outcome
+    p = prob(["A"], ["Z"])
+    e3 = product([quotient(p, sum_over(["A"], p)), sum_over(["Z"], p), prob(["B"]), prob(["A"])])
+    assert e3.factors[1].num is e3.factors[1].den.body is e3.factors[3].body is p
+    expected = (
+        "P(A \\mid S=1) \\frac{P(A \\mid Z, S=1)}{\\sum_{A} P(A \\mid Z, S=1)} "
+        "P(B \\mid S=1) \\left(\\sum_{Z} P(A \\mid Z, S=1)\\right)"
+    )
+    assert render(e3, "latex") == latex_reference(e3) == expected
 
 
 @given(st.integers(0, 2**32 - 1))

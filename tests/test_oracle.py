@@ -37,6 +37,13 @@ def test_table_requires_sorted_unique_variables():
         ProbabilityTable(("A", "A"), (2, 2), np.full((2, 2), 0.25))
 
 
+def test_table_needs_one_domain_size_per_variable():
+    with pytest.raises(ValueError, match="2 variables but 1 domain sizes"):
+        ProbabilityTable(("A", "B"), (2,), np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="1 variables but 2 domain sizes"):
+        ProbabilityTable(("A",), (2, 2), np.full((2,), 0.5))
+
+
 def test_table_validates_values():
     with pytest.raises(ValueError, match="shape"):
         ProbabilityTable(("A",), (2,), np.full((3,), 1 / 3))
@@ -56,6 +63,8 @@ def test_table_marginals():
     assert m.prob({"B": 0}) == pytest.approx(0.4)
     with pytest.raises(KeyError, match="no variable 'C'"):
         t.prob({"C": 0})
+    with pytest.raises(KeyError, match="no variable 'C'"):
+        t.marginal(["B", "C"])
 
 
 def test_table_prob_rejects_invalid_values():

@@ -119,6 +119,10 @@ def test_serialize_guards_unexpressible_graph():
     g = AugmentedAdmg(["S", "A"], [("A", "S")])  # vertex S, no selection
     with pytest.raises(ValueError, match="vertex named 'S' but no selection"):
         serialize_graph(g)
+    for name in ("1x", "a b", "é"):
+        g = AugmentedAdmg(["A", name], [("A", name)])
+        with pytest.raises(ValueError, match=f"cannot serialize vertex '{name}'"):
+            serialize_graph(g)
 
 
 def test_serialize_selection_last_line():
