@@ -11,9 +11,10 @@ A hedge for a bidirected-connected set Y is a strictly larger set H that is
 itself a single c-component and equals the ancestry of Y inside it; an
 s-hedge is the same shape with s-components.  Hedges are the obstruction to
 identification, s-hedges the obstruction in the sub-population setting.  One
-scope loop, ``AugmentedAdmg._narrow``, searches for both: :func:`find_hedge`
-runs it on c-components, ``identify.s_id`` on s-components for its
-``HedgeWitness``.
+scope loop, ``AugmentedAdmg._narrow``, searches for both from any scope that
+holds the outcome: :func:`find_hedge` from the whole graph (``identify.is_id``
+is :func:`find_hedge` over the c-components of the outcome's ancestry), and
+``identify.s_id`` from the enclosing s-component.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def is_ancestral(g: AugmentedAdmg, subset: Iterable[str], scope: Iterable[str]) 
 def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | None:
     """A hedge for ``outcome`` if one exists, else None.
 
-    ``outcome`` must be a single c-component.  The search shrinks the
-    c-component of the full graph containing the outcome until it stabilizes;
+    ``outcome`` must be a single c-component.  The search shrinks the whole
+    graph to the outcome's component of its ancestry until that stabilizes;
     the fixpoint is the outcome itself exactly when no hedge exists.  The
     returned witness is deterministic but makes no minimality claim.
     """
@@ -71,8 +72,7 @@ def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | No
         raise GraphError("outcome must be nonempty")
     if c_components(g, y) != [y]:
         raise GraphError(f"outcome {{{', '.join(y)}}} is not a single c-component")
-    start = next(c for c in c_components(g) if y[0] in c)
-    last, _ = g._narrow(y, start)
+    last, _ = g._narrow(y)
     return None if last == y else last
 
 

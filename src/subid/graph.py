@@ -46,15 +46,24 @@ def _name_error(bad: object) -> GraphError:
 def _as_names(vertices: Iterable[str]) -> tuple[str, ...]:
     if isinstance(vertices, str):
         raise GraphError(f"expected a collection of vertex names, got the string {vertices!r}")
-    names = list(vertices)
+    try:
+        names = iter(vertices)
+    except TypeError:
+        raise GraphError(f"expected a collection of vertex names, got {vertices!r}") from None
+    names = list(names)
     if not all(map(isinstance, names, itertools.repeat(str))) or "" in names:
         raise _name_error(next(v for v in names if not isinstance(v, str) or not v))
     return tuple(sorted(set(names)))
 
 
 def _ends(pairs: Iterable[tuple[str, str]], index: dict[str, int]):
-    """Each edge's pair of endpoint indices; self-loops and undeclared ends raise."""
-    for u, v in pairs:
+    """Each edge's pair of endpoint indices; an edge that is not a pair (a
+    string is not), a self-loop or an undeclared end raises."""
+    for edge in pairs:
+        try:
+            u, v = () if isinstance(edge, str) else edge
+        except (TypeError, ValueError):
+            raise GraphError(f"an edge must be a pair of vertex names, got {edge!r}") from None
         if u == v:
             raise GraphError(f"self-loop on {u!r}")
         try:
@@ -335,18 +344,19 @@ class AugmentedAdmg:
         is the flood through the selection ancestry, traced on ``pool``."""
         return self._flood(seed, pool | self._sel_anc if selected else pool, self._sib) & pool
 
-    def _narrow(self, c, t, selected=False):
-        """Shrink the scope ``t``, one component holding the component ``c``,
-        to the component holding ``c`` of the ancestry of ``c`` within it,
-        until that ancestry is all of ``t``.  Returns the last scope, ``c`` or
-        else a hedge (with ``selected`` an s-hedge) for ``c``, and the steps,
-        each the pair (ancestry, component holding ``c``), as name tuples."""
-        c, t = self._mask(c), self._mask(t)
-        steps = []
-        while (anc := self._flood(c, t, self._pa)) != t:
-            t = c if anc == c else self._component(c & -c, anc, selected)
-            steps.append((anc, t))
-        return self._names_of(t), [(self._names_of(a), self._names_of(p)) for a, p in steps]
+    def _narrow(self, c, pool=None, selected=False):
+        """Shrink the scope ``pool`` (default all), which holds the component ``c``,
+        to the component holding ``c`` of the ancestry of ``c`` within it, until
+        that changes nothing.  Returns the last scope, ``c`` or else a hedge (with
+        ``selected`` an s-hedge), and each change as (ancestry, component) names."""
+        c, steps = self._mask(c), []
+        t = self._all if pool is None else self._mask(pool)
+        while True:
+            anc = self._flood(c, t, self._pa)
+            part = c if anc == c else self._component(c & -c, anc, selected)
+            if part == t:
+                return self._names_of(t), [(self._names_of(a), self._names_of(p)) for a, p in steps]
+            steps.append((anc, t := part))
 
     def _m_connected(self, first, second, conditioning) -> bool:
         """Whether a path that ``conditioning`` leaves open joins the first two

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
-from .components import c_components, s_components
+from .components import c_components, find_hedge, s_components
 from .estimand import (
     Estimand,
     QsFactor,
@@ -131,12 +131,16 @@ def _separation_witness(
     None when it holds; ``anc`` is the selection ancestry."""
     sel = g._require_selection()
     xa = tuple(v for v in x if v in anc)
-    xn = tuple(v for v in x if v not in anc)
-    if not xa or m_separated(g.edge_surgery(bar_in=xn, bar_out=xa), xa, y, xn + (sel,)):
+    if not xa:
         return None
-    return SeparationWitness(
-        left=xa, right=y, given=tuple(sorted(xn + (sel,))), bar_in=xn, bar_out=xa
-    )
+    xn = tuple(v for v in x if v not in anc)
+    w = SeparationWitness(xa, y, tuple(sorted(xn + (sel,))), bar_in=xn, bar_out=xa)
+    return w if _violated(g, w) else None
+
+
+def _violated(g: AugmentedAdmg, w: SeparationWitness) -> bool:
+    """The re-check of :class:`SeparationWitness`: True when ``g`` fails it."""
+    return not m_separated(g.edge_surgery(w.bar_in, w.bar_out), w.left, w.right, w.given)
 
 
 def sid_separation(
@@ -240,16 +244,8 @@ def s_recover(
     recoverable from sub-population data.
     """
     x, y = _query_sets(g, treatment, outcome)
-    sel = g._require_selection()
-    cut = g.edge_surgery(bar_in=x)
-    if not m_separated(cut, y, (sel,), x):
-        return IdentifyResult(
-            "fail",
-            witness=SeparationWitness(
-                left=y, right=(sel,), given=x, bar_in=x, bar_out=(),
-            ),
-        )
-    return s_id(g, x, y)
+    w = SeparationWitness(y, (g._require_selection(),), x, bar_in=x, bar_out=())
+    return IdentifyResult("fail", witness=w) if _violated(g, w) else s_id(g, x, y)
 
 
 def is_id(
@@ -257,16 +253,11 @@ def is_id(
 ) -> bool:
     """Classical identifiability of the population effect on a mixed graph.
 
-    The effect is identifiable exactly when no c-component of the ancestry of
-    the outcome (taken in the graph without the treatment) admits a hedge.
-    Selection plays no role here; a selection vertex, if present, participates
-    as an ordinary vertex.
+    The effect is identifiable exactly when no c-component of the ancestry D
+    of the outcome (taken in the graph without the treatment) has a hedge:
+    :func:`find_hedge` finds none for each.  Selection plays no role here; a
+    selection vertex, if present, participates as an ordinary vertex.
     """
     x, y = _disjoint_sets(g, treatment, outcome)
     d = g.ancestors(y, within=set(g.vertices) - set(x))
-    whole = c_components(g)  # each component below starts from the one holding it
-    for comp in c_components(g, d):
-        start = next(t for t in whole if comp[0] in t)
-        if g._narrow(comp, start)[0] != comp:
-            return False
-    return True
+    return all(find_hedge(g, comp) is None for comp in c_components(g, d))

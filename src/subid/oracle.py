@@ -23,7 +23,7 @@ from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
-from .estimand import PositivityError, _check_value, _tabulate, estimand_to_dict, render
+from .estimand import PositivityError, _check_value, _names, _tabulate, estimand_to_dict, render
 from .graph import AugmentedAdmg, GraphError
 from .identify import s_id
 from .parser import parse_graph
@@ -53,6 +53,10 @@ class ProbabilityTable:
     __slots__ = ("_variables", "_domains", "_values", "_cache")
 
     def __init__(self, variables, domains, values, *, normalized: bool = True):
+        if isinstance(variables, str):
+            raise ValueError(
+                f"variables must be a collection of names, got the string {variables!r}"
+            )
         self._variables = tuple(variables)
         if list(self._variables) != sorted(self._variables):
             raise ValueError("variables must be sorted")
@@ -67,10 +71,13 @@ class ProbabilityTable:
         arr = np.asarray(values, dtype=float)
         if arr.shape != tuple(self._domains[v] for v in self._variables):
             raise ValueError("value array shape does not match the domains")
+        total = float(arr.sum())
+        if not math.isfinite(total):  # NaN or an infinity in some cell
+            raise ValueError("probabilities must be finite")
         if (arr < 0).any():
             raise ValueError("probabilities must be nonnegative")
-        if normalized and abs(float(arr.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {float(arr.sum())!r}, not 1")
+        if normalized and not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
         self._values = arr
         self._cache: dict[tuple[str, ...], np.ndarray] = {self._variables: arr}
 
@@ -105,7 +112,7 @@ class ProbabilityTable:
         return float(arr[tuple(assignment.get(v, 0) for v in self._variables)])
 
     def marginal(self, keep: Iterable[str]) -> "ProbabilityTable":
-        names = tuple(sorted(set(keep)))
+        names = _names(keep, "kept variables")
         shape = tuple(map(self.domain_size, names))
         arr = self.marginal_array(names).reshape(shape)
         return ProbabilityTable(names, shape, arr, normalized=False)

@@ -10,6 +10,7 @@ from subid import (
     find_hedge,
     is_ancestral,
     is_hedge,
+    is_id,
     is_s_hedge,
     s_components,
     s_id,
@@ -97,6 +98,15 @@ def test_find_hedge_classic(id_classic):
     assert find_hedge(id_classic, ["Y1"]) is None
     assert find_hedge(id_classic, ["Y2"]) is None
     assert find_hedge(id_classic, ["Y1", "Y2"]) == ("X1", "X2", "Y1", "Y2")
+
+
+def test_find_hedge_when_the_whole_graph_is_the_outcome_ancestry():
+    # every vertex is an ancestor of Y, yet A <-> B is a c-component apart from
+    # Y: the search must still narrow to Y's component before it stops
+    g = AugmentedAdmg(["A", "B", "Y"], [("A", "Y"), ("B", "Y")], [("A", "B")])
+    assert find_hedge(g, ["Y"]) is None
+    assert is_id(g, ["A"], ["Y"])
+    assert find_hedge(g, ["A"]) is None
 
 
 def test_hedge_witnesses_recheck(hedges, latent_selection, id_classic):

@@ -283,6 +283,34 @@ def test_bare_string_vertex_sets_rejected(recoverability):
     with pytest.raises(GraphError, match="got the string 'XYS'"):
         AugmentedAdmg("XYS", [("X", "Y")], selection="S")
     assert AugmentedAdmg(["XY", "S"], [("XY", "S")], selection="S").vertices == ("S", "XY")
+    # not a collection at all: refused the same way, not a stray TypeError
+    for call, bad in [
+        (lambda: AugmentedAdmg(5), "5"),
+        (lambda: recoverability.vertex_set(5), "5"),
+        (lambda: recoverability.ancestors(None), "None"),
+        (lambda: recoverability.ancestors(["X1"], within=3), "3"),
+        (lambda: s_id(recoverability, 5, ["Y"]), "5"),
+    ]:
+        with pytest.raises(GraphError, match=f"expected a collection of vertex names, got {bad}$"):
+            call()
+
+
+@pytest.mark.parametrize("kind", ["directed", "bidirected"])
+@pytest.mark.parametrize(
+    "edge, shown",
+    [("AB", "'AB'"), (5, "5"), (None, "None"), (("A",), r"\('A',\)"),
+     (("A", "B", "C"), r"\('A', 'B', 'C'\)"), (["A", "B", "C"], r"\['A', 'B', 'C'\]")],
+    ids=["string", "int", "none", "one-end", "three-ends", "three-end-list"],
+)
+def test_edges_that_are_not_pairs_rejected(kind, edge, shown):
+    with pytest.raises(GraphError, match=f"an edge must be a pair of vertex names, got {shown}$"):
+        AugmentedAdmg(["A", "B", "C"], **{kind: [("A", "C"), edge]})
+
+
+def test_edge_pairs_of_any_sequence_type_accepted():
+    g = AugmentedAdmg(["A", "B", "C"], [["A", "B"], ("B", "C")], [["A", "C"]])
+    assert g.directed_edges == (("A", "B"), ("B", "C"))
+    assert g.bidirected_edges == (("A", "C"),)
 
 
 # -- the mask kernel against the set-based references ---------------------------

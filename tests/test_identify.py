@@ -36,6 +36,9 @@ from subid import (
 )
 
 from helpers import (
+    ancestors_reference,
+    brute_force_hedge,
+    c_components_reference,
     iter_assignments,
     qs_ground_truth,
     random_admg,
@@ -410,6 +413,21 @@ def test_is_id_classic_verdicts(id_classic):
     assert is_id(id_classic, ["X1", "X2"], ["Y2"])
     assert not is_id(id_classic, ["X1"], ["Y1", "Y2"])
     assert not is_id(id_classic, ["X1", "X2"], ["Y1", "Y2"])
+
+
+def test_is_id_matches_brute_force_hedges():
+    # the classical criterion by definition: no c-component of the outcome's
+    # ancestry D (without the treatment) has a hedge, found by subset enumeration
+    rng = np.random.default_rng(15)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        g = random_admg(rng, n_obs=int(rng.integers(2, 7)), p_bi=0.45)
+        x, y = random_query(rng, g)
+        d = ancestors_reference(g, y, within=set(g.vertices) - set(x))
+        want = all(brute_force_hedge(g, c) is None for c in c_components_reference(g, d))
+        assert is_id(g, x, y) == want, (g, x, y)
+        seen[want] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_is_id_treats_selection_as_plain_vertex(medication):

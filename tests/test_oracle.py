@@ -53,6 +53,31 @@ def test_table_validates_values():
         ProbabilityTable(("A",), (2,), np.array([0.3, 0.3]))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[float("nan"), 1.0], [float("nan"), float("nan")], [float("inf"), 0.0],
+     [-float("inf"), 1.0]],
+    ids=["nan-beside-one", "all-nan", "inf", "minus-inf"],
+)
+@pytest.mark.parametrize("normalized", [True, False])
+def test_table_refuses_non_finite_values(values, normalized):
+    # NaN compares False both ways, so a sign or a sum check alone lets it through
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        ProbabilityTable(["A"], [2], values, normalized=normalized)
+
+
+def test_table_refuses_a_bare_string_of_names():
+    with pytest.raises(ValueError, match="got the string 'AB'"):
+        ProbabilityTable("AB", (2, 2), np.full((2, 2), 0.25))
+    t = ProbabilityTable(("A", "B"), (2, 2), np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="got the string 'AB'"):
+        t.marginal("AB")
+    with pytest.raises(ValueError, match="got the string 'B'"):
+        t.marginal("B")
+    assert t.marginal(["B"]).variables == ("B",)
+    assert t.marginal(("B", "A", "B")).variables == ("A", "B")
+
+
 def test_table_marginals():
     t = ProbabilityTable(("A", "B"), (2, 2), np.array([[0.1, 0.2], [0.3, 0.4]]))
     assert t.prob({"A": 0, "B": 1}) == pytest.approx(0.2)
