@@ -12,9 +12,10 @@ itself a single c-component and equals the ancestry of Y inside it; an
 s-hedge is the same shape with s-components.  Hedges are the obstruction to
 identification, s-hedges the obstruction in the sub-population setting.  One
 scope loop, ``AugmentedAdmg._narrow``, searches for both from any scope that
-holds the outcome: :func:`find_hedge` from the whole graph (``identify.is_id``
-is :func:`find_hedge` over the c-components of the outcome's ancestry), and
-``identify.s_id`` from the enclosing s-component.
+holds the outcome: :func:`find_hedge` and ``identify.is_id`` from the whole
+graph, and ``identify.s_id`` from the enclosing s-component.  The functions
+here are public and validate their arguments; the identification routines
+call the scope loop directly on components they have just computed.
 """
 
 from __future__ import annotations

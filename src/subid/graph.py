@@ -13,9 +13,11 @@ in sorted-name order and a vertex set is an int bitmask (bit ``i`` for the
 ``i``-th name), with parents, children and siblings one mask per vertex: the
 set bits, read low to high, are a sorted name tuple, and the lowest is the
 least name.  Names are converted only at the public boundary (``_mask``,
-``_names_of``), and only this module reads the masks: the component floods,
-the hedge scope loop and the m-connection walk that the other modules need
-are private methods here that take and return names.
+``_names_of``), and a mask is decoded to names in one pass at C level (its
+binary digits select the names).  Only this module reads the masks: the
+component floods, the enclosing s-component, the hedge scope loop and the
+m-connection walk that the other modules need are private methods here that
+take and return names, and trust their arguments.
 """
 
 from __future__ import annotations
@@ -275,8 +277,10 @@ class AugmentedAdmg:
         return mask
 
     def _names_of(self, mask: int) -> tuple[str, ...]:
-        """The sorted names of a mask's set bits."""
-        return tuple(map(self._vertices.__getitem__, _bits(mask)))
+        """The sorted names of a mask's set bits, decoded in one pass: the binary
+        digits, lowest first, as bytes 0 and 1 select the names."""
+        digits = bin(mask)[:1:-1].encode().translate(_DIGITS)
+        return tuple(itertools.compress(self._vertices, digits))
 
     def _flood(self, seeds: int, scope: int, adjacent: list[int]) -> int:
         """``seeds`` plus every vertex reachable from them along ``adjacent``
@@ -284,8 +288,10 @@ class AugmentedAdmg:
         seen = frontier = seeds
         while frontier:
             reach = 0
-            for i in _bits(frontier):
-                reach |= adjacent[i]
+            while frontier:  # inlined ``_bits``, here and in ``_order``: the hottest loops
+                low = frontier & -frontier
+                reach |= adjacent[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & scope & ~seen
             seen |= frontier
         return seen
@@ -297,9 +303,11 @@ class AugmentedAdmg:
         out, left, ready = [], pool, 0
         fresh = pool  # vertices that may have become ready: all, then children
         while True:
-            for i in _bits(fresh):
-                if not pa[i] & left:
-                    ready |= 1 << i
+            while fresh:
+                low = fresh & -fresh
+                if not pa[low.bit_length() - 1] & left:
+                    ready |= low
+                fresh ^= low
             if not ready:
                 return out
             low = ready & -ready
@@ -344,11 +352,18 @@ class AugmentedAdmg:
         is the flood through the selection ancestry, traced on ``pool``."""
         return self._flood(seed, pool | self._sel_anc if selected else pool, self._sib) & pool
 
+    def _enclosing(self, c) -> tuple[str, ...]:
+        """The s-component holding ``c`` of every observed vertex outside the
+        selection ancestry: one flood from the least member of ``c``."""
+        c = self._mask(c)
+        return self._names_of(self._component(c & -c, self._all & ~self._sel_anc, True))
+
     def _narrow(self, c, pool=None, selected=False):
         """Shrink the scope ``pool`` (default all), which holds the component ``c``,
         to the component holding ``c`` of the ancestry of ``c`` within it, until
         that changes nothing.  Returns the last scope, ``c`` or else a hedge (with
-        ``selected`` an s-hedge), and each change as (ancestry, component) names."""
+        ``selected`` an s-hedge), and each change as (ancestry, component) names;
+        each ancestry is ancestral within the scope before it."""
         c, steps = self._mask(c), []
         t = self._all if pool is None else self._mask(pool)
         while True:
@@ -409,6 +424,9 @@ class AugmentedAdmg:
             f"{len(self.directed_edges)} directed, {len(self.bidirected_edges)} bidirected, "
             f"selection={self._selection!r})"
         )
+
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _bits(mask: int):

@@ -11,6 +11,12 @@ criterion on a plain mixed graph, used for cross-checking.
 Failures carry machine-checkable witnesses: either an m-separation test that
 the query fails after edge surgery, or an s-hedge.  A separation failure is
 definitive; a hedge failure means "not identified by this algorithm".
+
+Public functions validate their arguments once; the steps inside them do
+not re-validate the sets they build.  They call the graph's private
+name-in, name-out methods (the enclosing s-component, the scope loop, the
+m-connection walk) and sum each factor to an ancestry that the scope loop
+returned, so it is ancestral by construction.
 """
 
 from __future__ import annotations
@@ -19,19 +25,9 @@ import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
-from .components import c_components, find_hedge, s_components
-from .estimand import (
-    Estimand,
-    QsFactor,
-    prob,
-    product,
-    qs_base,
-    qs_marginalize,
-    sum_over,
-    _component_builder,
-)
+from .components import c_components, s_components
+from .estimand import Estimand, QsFactor, prob, product, sum_over, _component_builder
 from .graph import AugmentedAdmg, GraphError
-from .separation import m_separated
 
 __all__ = [
     "IdentifyResult",
@@ -139,8 +135,9 @@ def _separation_witness(
 
 
 def _violated(g: AugmentedAdmg, w: SeparationWitness) -> bool:
-    """The re-check of :class:`SeparationWitness`: True when ``g`` fails it."""
-    return not m_separated(g.edge_surgery(w.bar_in, w.bar_out), w.left, w.right, w.given)
+    """The re-check of :class:`SeparationWitness`: True when ``g`` fails it.  The
+    witnesses built here hold pairwise disjoint sets, so the walk runs unchecked."""
+    return g.edge_surgery(w.bar_in, w.bar_out)._m_connected(w.left, w.right, w.given)
 
 
 def sid_separation(
@@ -161,9 +158,12 @@ def sid_separation(
 def _replay(g: AugmentedAdmg, factor: QsFactor, steps) -> QsFactor:
     """The factor that the ``steps`` of ``AugmentedAdmg._narrow`` reach from
     ``factor``: marginalize to each ancestry, then take one s-component when
-    it splits."""
+    it splits.  Each ancestry is ancestral within the scope before it, so the
+    sum is taken as ``qs_marginalize`` would, without its checks."""
     for anc, part in steps:
-        factor = qs_marginalize(g, factor, anc)
+        kept = set(anc)
+        dropped = [v for v in factor.scope if v not in kept]
+        factor = QsFactor(anc, sum_over(dropped, factor.expr))
         if part != anc:
             factor = _component_builder(g, factor)(part)
     return factor
@@ -207,22 +207,28 @@ def s_id(
     to any value.
     """
     x, y = _query_sets(g, treatment, outcome)
-    anc, non_anc = map(set, g.split_by_selection())
+    return _s_id(g, x, y)
+
+
+def _s_id(g: AugmentedAdmg, x: tuple[str, ...], y: tuple[str, ...]) -> IdentifyResult:
+    """:func:`s_id` on a query already validated by :func:`_query_sets`."""
+    anc_t, non_anc_t = g.split_by_selection()
+    anc, non_anc = set(anc_t), set(non_anc_t)
     witness = _separation_witness(g, x, y, anc)
     if witness is not None:
         return IdentifyResult("fail", witness=witness)
 
     yn = tuple(v for v in y if v in non_anc)
     d = g.ancestors(yn, within=non_anc - set(x))
-    enclosing = s_components(g, non_anc)
     plans = []  # every component is decided before any factor is built
     for comp in s_components(g, d):
-        t = next(t for t in enclosing if comp[0] in t)
+        t = g._enclosing(comp)
         last, steps = g._narrow(comp, t, selected=True)
         if last != comp:
             return IdentifyResult("fail", witness=HedgeWitness(comp, last))
         plans.append((t, steps))
-    build = functools.cache(_component_builder(g, qs_base(g)))  # each enclosing factor at most once
+    base = QsFactor(non_anc_t, prob(non_anc_t, anc_t))  # qs_base(g), from the split above
+    build = functools.cache(_component_builder(g, base))  # each enclosing factor at most once
     parts = [_replay(g, build(t), steps) for t, steps in plans]
 
     outer_prob = prob(anc - set(x), anc & set(x))
@@ -245,7 +251,7 @@ def s_recover(
     """
     x, y = _query_sets(g, treatment, outcome)
     w = SeparationWitness(y, (g._require_selection(),), x, bar_in=x, bar_out=())
-    return IdentifyResult("fail", witness=w) if _violated(g, w) else s_id(g, x, y)
+    return IdentifyResult("fail", witness=w) if _violated(g, w) else _s_id(g, x, y)
 
 
 def is_id(
@@ -255,9 +261,10 @@ def is_id(
 
     The effect is identifiable exactly when no c-component of the ancestry D
     of the outcome (taken in the graph without the treatment) has a hedge:
-    :func:`find_hedge` finds none for each.  Selection plays no role here; a
-    selection vertex, if present, participates as an ordinary vertex.
+    ``find_hedge``'s search, run on each component as computed, stops at
+    the component itself.  Selection plays no role here; a selection vertex,
+    if present, participates as an ordinary vertex.
     """
     x, y = _disjoint_sets(g, treatment, outcome)
     d = g.ancestors(y, within=set(g.vertices) - set(x))
-    return all(find_hedge(g, comp) is None for comp in c_components(g, d))
+    return all(g._narrow(comp)[0] == comp for comp in c_components(g, d))

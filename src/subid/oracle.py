@@ -58,6 +58,9 @@ class ProbabilityTable:
                 f"variables must be a collection of names, got the string {variables!r}"
             )
         self._variables = tuple(variables)
+        if not all(map(isinstance, self._variables, itertools.repeat(str))) or "" in self._variables:
+            bad = next(v for v in self._variables if not isinstance(v, str) or not v)
+            raise ValueError(f"variables must be non-empty strings, got {bad!r}")
         if list(self._variables) != sorted(self._variables):
             raise ValueError("variables must be sorted")
         if len(set(self._variables)) != len(self._variables):

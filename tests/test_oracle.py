@@ -37,6 +37,17 @@ def test_table_requires_sorted_unique_variables():
         ProbabilityTable(("A", "A"), (2, 2), np.full((2, 2), 0.25))
 
 
+@pytest.mark.parametrize(
+    "variables, bad",
+    [([1, 2], "1"), ([""], "''"), (["A", None], "None")],
+    ids=["ints", "empty-name", "none"],
+)
+def test_table_refuses_names_that_marginal_would_refuse(variables, bad):
+    shape = (2,) * len(variables)
+    with pytest.raises(ValueError, match=f"^variables must be non-empty strings, got {bad}$"):
+        ProbabilityTable(variables, shape, np.full(shape, 0.5 ** len(variables)))
+
+
 def test_table_needs_one_domain_size_per_variable():
     with pytest.raises(ValueError, match="2 variables but 1 domain sizes"):
         ProbabilityTable(("A", "B"), (2,), np.full((2, 2), 0.25))
