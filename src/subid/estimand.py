@@ -27,10 +27,14 @@ canonicalizing preserves evaluation exactly on strictly positive tables.
 Canonicalizing costs about the size of its output.  Each ``Prob`` and
 ``SumOver`` formats its own text label once, at construction, into a field
 that equality, hashing and repr ignore, so text and sorting never rebuild it.
-Factors sort by their first two text pieces, joined once per factor; only
-where one head is a prefix of the other are the two whole texts compared.
-Telescoping partners are looked up in indexes keyed by what a node holds
-itself (its names, or only its type), never by rendering or hashing subtrees.
+Factors sort by their first two text pieces, read straight off those labels;
+only where one head is a prefix of the other are the two whole texts built,
+by the same list-building renderer as :func:`render`, and only where those
+tie (the text form is not injective) is a structural key walked.  Telescoping
+partners are looked up in indexes keyed by the stored labels (or only the
+node type), never by rendering or hashing subtrees.  A component factor of
+:func:`qs_decompose` has one ratio per maximal run of positions; maximal runs
+never cancel, so its ratios are only sorted, without the telescope search.
 Every walk over a tree uses an explicit stack, so free variables, evaluation,
 text, latex and the JSON object work at any depth; latex streams left to
 right like text and holds no subtree strings.  Only JSON text, which the
@@ -202,28 +206,92 @@ def _flatten(factors: Iterable[Estimand]) -> list[Estimand]:
 
 
 class _TextKey:
-    """Sort key of a factor: the first two pieces of its text, read once.  Only
-    where one head is a prefix of the other are the two whole texts compared."""
+    """Sort key of a factor: its text, then its structure where two texts tie.
+
+    The text is read as its head, the first two pieces off the stored labels;
+    only where one head is a prefix of the other are the two whole texts built.
+    Two distinct factors can render the same text (see :func:`render`); their
+    structural keys, built only then, still tell them apart."""
 
     __slots__ = ("factor", "head")
 
     def __init__(self, factor: Estimand) -> None:
         self.factor = factor
-        self.head = "".join(itertools.islice(_pieces(factor, "Σ"), 2))
+        self.head = _head(factor)
 
     def __lt__(self, other: _TextKey) -> bool:
         a, b = self.head, other.head
-        if a.startswith(b) or b.startswith(a):  # the heads agree as far as both go
-            return "".join(_pieces(self.factor, "Σ")) < "".join(_pieces(other.factor, "Σ"))
-        return a < b
+        if not (a.startswith(b) or b.startswith(a)):
+            return a < b
+        # the heads agree as far as both go
+        x, y = self.factor, other.factor
+        tx, ty = _text(x), _text(y)
+        if tx != ty or x is y:
+            return tx < ty
+        return _structure(x) < _structure(y)
+
+
+def _head(e: Estimand) -> str:
+    """The first two pieces of ``_text(e)``, a prefix of it read off the labels
+    that ``Prob`` and ``SumOver`` store; ``e`` is a product's factor."""
+    if isinstance(e, Prob):
+        return e.text
+    if isinstance(e, SumOver):
+        return f"Σ_{{{e.names}}} {_lead(e.body)}"
+    if isinstance(e.num, (Prob, One)):  # a quotient
+        return _lead(e.num) + " / "
+    return "(" + _lead(e.num)
+
+
+def _lead(e: Estimand) -> str:
+    """The first piece of ``_text(e)``, or "" where an empty product leads."""
+    while isinstance(e, Product):
+        if not e.factors:
+            return ""
+        e = e.factors[0]
+        if isinstance(e, Quotient):  # parenthesised as a factor
+            return "("
+    if isinstance(e, Prob):
+        return e.text
+    if isinstance(e, SumOver):
+        return f"Σ_{{{e.names}}} "
+    if isinstance(e, One):
+        return "1"
+    if isinstance(e, Quotient):
+        return _lead(e.num) if isinstance(e.num, (Prob, One)) else "("
+    raise TypeError(f"not an estimand node: {e!r}")
+
+
+def _structure(e: Estimand) -> list[tuple]:
+    """One token per node of ``e`` in prefix order, each naming the node's kind,
+    its own names and its number of children: a key that tells any two distinct
+    trees apart and orders them without hashing, walked from an explicit stack."""
+    tokens: list[tuple] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Prob):
+            tokens.append(("P", node.of, node.given))
+        elif isinstance(node, SumOver):
+            tokens.append(("S", node.over))
+            stack.append(node.body)
+        elif isinstance(node, Product):
+            tokens.append(("*", len(node.factors)))
+            stack += reversed(node.factors)
+        elif isinstance(node, Quotient):
+            tokens.append(("/",))
+            stack += (node.den, node.num)
+        else:
+            tokens.append(("1",))
+    return tokens
 
 
 def _shallow(e: Estimand) -> object:
-    """A key that equal estimands share, read off the node itself, not its subtrees."""
+    """A key that equal estimands share, read off the node's own label, not its subtrees."""
     if isinstance(e, Prob):
-        return e.of, e.given
+        return e.text
     if isinstance(e, SumOver):
-        return SumOver, e.over
+        return SumOver, e.names
     return type(e)
 
 
@@ -243,6 +311,8 @@ def _telescope(flat: list[Estimand]) -> bool:
             if isinstance(q, Quotient):
                 by_num.setdefault(_shallow(q.num), []).append(j)
                 by_den.setdefault(_shallow(q.den), []).append(j)
+        if not by_num:  # no quotient, no partner
+            return merged
         for i, fi in enumerate(flat):
             if isinstance(fi, Quotient):
                 hits = (j for j in by_num.get(_shallow(fi.den), ())
@@ -441,23 +511,24 @@ def evaluate(
 # -- rendering ----------------------------------------------------------------
 
 
-def _pieces(e: Estimand, sum_symbol: str) -> Iterator[str]:
-    """The text form of ``e``, yielded left to right.
+def _text(e: Estimand, sum_symbol: str = "Σ") -> str:
+    """The text form of ``e``, its pieces gathered left to right.
 
     Strings and nodes share one explicit stack, so any nesting depth renders.
     """
+    out: list[str] = []
     stack: list[Estimand | str] = [e]
     while stack:
         node = stack.pop()
         if isinstance(node, str):
-            yield node
+            out.append(node)
         elif isinstance(node, Prob):
-            yield node.text
+            out.append(node.text)
         elif isinstance(node, Quotient):  # pushed last to first
             for side in (node.den, " / ", node.num):
                 stack += (side,) if isinstance(side, (str, Prob, One)) else (")", side, "(")
         elif isinstance(node, SumOver):
-            yield f"{sum_symbol}_{{{node.names}}} "
+            out.append(f"{sum_symbol}_{{{node.names}}} ")
             stack.append(node.body)
         elif isinstance(node, Product):
             for k, f in enumerate(reversed(node.factors)):
@@ -465,9 +536,10 @@ def _pieces(e: Estimand, sum_symbol: str) -> Iterator[str]:
                     stack.append(" ")
                 stack += (")", f, "(") if isinstance(f, Quotient) else (f,)
         elif isinstance(node, One):
-            yield "1"
+            out.append("1")
         else:
             raise TypeError(f"not an estimand node: {node!r}")
+    return "".join(out)
 
 
 @contextlib.contextmanager
@@ -481,7 +553,7 @@ def _nesting_limit():
 
 def _latex(e: Estimand) -> Iterator[str]:
     """The LaTeX form of ``e``, yielded left to right from one explicit stack
-    like :func:`_pieces`; each ``Prob`` label is formatted once per call."""
+    like :func:`_text`; each ``Prob`` label is formatted once per call."""
     labels: dict[int, str] = {}
     stack: list[Estimand | str] = [e]
     while stack:
@@ -576,9 +648,17 @@ def render(e: Estimand, fmt: str = "text", *, unicode_sum: bool = True) -> str:
 
     Text and latex render at any depth; json raises ``ValueError`` for a tree
     too deep for the ``json`` module.
+
+    The text form is for reading, not parsing back: two distinct trees can
+    render the same text, because a sum that is a non-last factor of a
+    product is not parenthesised.  With ``f = Σ_A (P(X) · Σ_B P(Y) · Σ_C P(W|B))``
+    and ``f2 = Σ_A (P(X) · Σ_B (P(Y) · Σ_C P(W|B)))`` (B is free in ``f`` only),
+    both read ``Σ_{A} P(X|S=1) Σ_{B} P(Y|S=1) Σ_{C} P(W|B,S=1)``; names holding
+    a comma (``prob(["a,b"])`` against ``prob(["a", "b"])``) collide likewise.
+    LaTeX (which wraps such sums in ``\\left(…\\right)``) and JSON tell them apart.
     """
     if fmt == "text":
-        return "".join(_pieces(e, "Σ" if unicode_sum else "Sum"))
+        return _text(e, "Σ" if unicode_sum else "Sum")
     if fmt == "latex":
         return "".join(_latex(e))
     if fmt == "json":
@@ -669,11 +749,21 @@ def _component_builder(g: AugmentedAdmg, factor: QsFactor) -> Callable[..., QsFa
             marginals[i] = SumOver(suffixes[i], body)
         return marginals[i]
 
+    def ratio(a: int, b: int) -> Estimand:  # P_b / P_{a-1}, the factor of the run a..b
+        return prefix(b) if a == 1 else Quotient(prefix(b), prefix(a - 1))
+
     def build(comp: tuple[str, ...]) -> QsFactor:
-        # within a run of consecutive positions, position minus rank is constant
-        ranks = enumerate(sorted(pos[v] for v in comp))
-        runs = [list(r) for _, r in itertools.groupby(ranks, lambda p: p[1] - p[0])]
-        ratios = [quotient(prefix(run[-1][1]), prefix(run[0][1] - 1)) for run in runs]
-        return QsFactor(comp, product(ratios))
+        positions = sorted(pos[v] for v in comp)
+        ratios, start = [], positions[0]
+        for prev, p in zip(positions, positions[1:]):
+            if p != prev + 1:  # the run that started at ``start`` ends at ``prev``
+                ratios.append(ratio(start, prev))
+                start = p
+        ratios.append(ratio(start, positions[-1]))
+        if len(ratios) == 1:
+            return QsFactor(comp, ratios[0])
+        # two ratios could only cancel across adjacent runs, and maximal runs
+        # are never adjacent, so of product() only the sort is left to do
+        return QsFactor(comp, Product(tuple(sorted(ratios, key=_TextKey))))
 
     return build

@@ -3,6 +3,7 @@ serialization, and the symbolic post-intervention factors built on top of them."
 
 import copy
 import hashlib
+import itertools
 import json
 import pickle
 import random
@@ -142,6 +143,27 @@ def test_product_flattens_and_sorts():
     assert product([ratio, odd]).factors == product([odd, ratio]).factors == (odd, ratio)
     with pytest.raises(TypeError, match="not an estimand node"):
         product([object()])
+
+
+def test_product_order_does_not_depend_on_input_order_when_texts_tie():
+    # a sum that is a product's non-last factor is not parenthesised, so two
+    # distinct factors can render the same text; the order still tells them apart
+    p1, p2, p3 = prob(["X"]), prob(["Y"]), prob(["W"], ["B"])
+    f = sum_over(["A"], product([p1, sum_over(["B"], p2), sum_over(["C"], p3)]))
+    f2 = sum_over(["A"], product([p1, sum_over(["B"], product([p2, sum_over(["C"], p3)]))]))
+    assert f != f2 and render(f) == render(f2) == "Σ_{A} P(X|S=1) Σ_{B} P(Y|S=1) Σ_{C} P(W|B,S=1)"
+    assert "B" in free_vars(f) and "B" not in free_vars(f2)
+    a, b = prob(["a,b"]), prob(["a", "b"])
+    assert a != b and render(a) == render(b)
+    want = product([f, f2, a, b, p1])
+    for factors in itertools.permutations([f, f2, a, b, p1]):
+        assert product(factors) == want
+    # the tie is broken at any depth
+    deep, deep2 = f, f2
+    for _ in range(1500):
+        deep, deep2 = quotient(deep, p3), quotient(deep2, p3)
+    assert render(deep) == render(deep2)
+    assert product([deep, deep2]).factors == product([deep2, deep]).factors
 
 
 def test_labels_are_invisible_to_equality_hash_and_repr():

@@ -1,7 +1,9 @@
 """Golden pin: the exact outputs of ``s_id``, ``s_recover`` and ``is_id``.
 
 Verdicts, witnesses, text (both sum symbols) and LaTeX over a seeded set of
-random graphs, some of more than thirty vertices, are hashed into one digest.
+random graphs, some of more than thirty vertices, are hashed into one digest;
+the JSON of the same estimands, which pins the tree shape that the text form
+cannot tell apart, into a second.
 The topological tie-break decides the prefix marginals of every estimand, so
 a graph-kernel change that moves it fails here, not only in the benchmark.
 The digest was recorded with the name-set graph kernel that preceded the
@@ -13,11 +15,12 @@ import json
 
 import numpy as np
 
-from subid import is_id, render, s_id, s_recover
+from subid import is_id, render, s_id, s_recover, to_json
 
 from helpers import ancestors_reference, random_admg, random_query, scrambled_names
 
 GOLDEN = "7f4fc842d292b7838e1d04d6267ea65d50e88d4b5df48980d81fe773c92b5b79"
+GOLDEN_JSON = "4417c4c0666a816a0bb736cd689905d17d1011e6d20fad0730c78c01837132a5"
 
 
 def _queries(rng, g, large):
@@ -36,7 +39,8 @@ def _queries(rng, g, large):
     return out
 
 
-def golden_lines():
+def golden_queries():
+    """The seeded graphs and their queries, as ``(g, x, y)``."""
     rng = np.random.default_rng(2024)
     for k in range(48):
         large = k % 4 == 3
@@ -49,19 +53,39 @@ def golden_lines():
         else:
             g = random_admg(rng)
         for x, y in _queries(rng, g, large):
-            yield repr(("is_id", x, y, is_id(g, x, y)))
-            for fn in (s_id, s_recover):
-                r = fn(g, x, y)
-                out = [fn.__name__, x, y, r.status]
-                out.append(json.dumps(r.witness.to_dict() if r.witness else None))
-                if r.identifiable:
-                    out += [render(r.estimand, "text"), render(r.estimand, "text", unicode_sum=False)]
-                    out.append(render(r.estimand, "latex"))
-                yield repr(out)
+            yield g, x, y
+
+
+def golden_lines():
+    for g, x, y in golden_queries():
+        yield repr(("is_id", x, y, is_id(g, x, y)))
+        for fn in (s_id, s_recover):
+            r = fn(g, x, y)
+            out = [fn.__name__, x, y, r.status]
+            out.append(json.dumps(r.witness.to_dict() if r.witness else None))
+            if r.identifiable:
+                out += [render(r.estimand, "text"), render(r.estimand, "text", unicode_sum=False)]
+                out.append(render(r.estimand, "latex"))
+            yield repr(out)
+
+
+def golden_json_lines():
+    for g, x, y in golden_queries():
+        for fn in (s_id, s_recover):
+            r = fn(g, x, y)
+            yield repr([fn.__name__, x, y, to_json(r.estimand) if r.identifiable else None])
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
 
 
 def test_outputs_match_the_golden_digest():
-    h = hashlib.sha256()
-    for line in golden_lines():
-        h.update(line.encode() + b"\n")
-    assert h.hexdigest() == GOLDEN
+    assert _digest(golden_lines()) == GOLDEN
+
+
+def test_estimand_trees_match_the_golden_json_digest():
+    assert _digest(golden_json_lines()) == GOLDEN_JSON

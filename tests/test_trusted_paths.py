@@ -1,5 +1,7 @@
 """The unchecked paths inside ``s_id``, ``s_recover`` and ``is_id`` against the
-public checks they skip, and the module boundary that keeps masks in ``graph.py``."""
+public checks they skip, the component factors built without ``product()``
+and the sort heads read off labels against the whole texts, and the module
+boundary that keeps masks in ``graph.py``."""
 
 import re
 from pathlib import Path
@@ -7,20 +9,32 @@ from pathlib import Path
 import numpy as np
 
 from subid import (
+    ONE,
+    One,
+    Prob,
+    Product,
+    QsFactor,
+    Quotient,
     SeparationWitness,
+    SumOver,
     c_components,
     find_hedge,
     is_ancestral,
     is_id,
     m_separated,
+    prob,
+    product,
     qs_base,
     qs_decompose,
     qs_marginalize,
+    quotient,
     s_components,
+    sum_over,
 )
+from subid.estimand import _component_builder, _head, _text, _TextKey
 from subid.identify import _replay, _violated
 
-from helpers import random_admg, random_query
+from helpers import random_admg, random_estimand, random_query, scrambled_names
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "subid"
 MASK_INTERNALS = re.compile(
@@ -90,6 +104,106 @@ def test_trusted_paths_agree_with_the_public_checks():
             replayed += _check_s_id_plan(g, x, y)
     # enough of both outcomes that the comparisons above mean something
     assert replayed >= 300 and violated >= 200
+
+
+def _product_of_runs(g, factor, comp):
+    """``product()`` of one ratio P_b / P_{a-1} per maximal run a..b of the
+    component's positions in the topological order, from public constructors."""
+    order = g.topological_order(factor.scope)
+    pos = {v: i for i, v in enumerate(order, start=1)}
+
+    def prefix(i):
+        return sum_over(order[i:], factor.expr) if i else ONE
+
+    ratios, run = [], []
+    for p in sorted(pos[v] for v in comp):
+        if run and p != run[-1] + 1:
+            ratios.append(quotient(prefix(run[-1]), prefix(run[0] - 1)))
+            run = []
+        run.append(p)
+    ratios.append(quotient(prefix(run[-1]), prefix(run[0] - 1)))
+    return product(ratios)
+
+
+def _check_builders(g, factor):
+    """Every component factor of ``factor`` against ``product()`` of its ratios;
+    returns how many components had one run and how many had several."""
+    build = _component_builder(g, factor)
+    counts = [0, 0]
+    for comp in s_components(g, factor.scope):
+        got, want = build(comp).expr, _product_of_runs(g, factor, comp)
+        assert got == want and repr(got) == repr(want)
+        counts[isinstance(got, Product)] += 1
+    return counts
+
+
+def test_component_factors_equal_the_product_of_their_ratios():
+    # the base factor, and every marginalized factor that ``_replay`` splits
+    rng = np.random.default_rng(17)
+    counts = np.zeros(2, int)
+    replayed = 0
+    for _ in range(80):
+        n = int(rng.integers(4, 16))
+        g = random_admg(rng, names=scrambled_names(rng, n), p_dir=3 / n, p_bi=1.5 / n,
+                        p_sel_dir=2 / n, p_sel_bi=1 / n)
+        base = qs_base(g)
+        counts += _check_builders(g, base)
+        non_anc = set(g.split_by_selection()[1])
+        for _ in range(4):
+            x, y = random_query(rng, g)
+            d = g.ancestors([v for v in y if v in non_anc], within=non_anc - set(x))
+            for comp in s_components(g, d):
+                t = g._enclosing(comp)
+                factor = _component_builder(g, base)(t)
+                for ancestry, part in g._narrow(comp, t, selected=True)[1]:
+                    dropped = [v for v in factor.scope if v not in ancestry]
+                    factor = QsFactor(ancestry, sum_over(dropped, factor.expr))
+                    if part != ancestry:
+                        counts += _check_builders(g, factor)
+                        factor = _component_builder(g, factor)(part)
+                        replayed += 1
+    # enough factors of several runs, and replayed ones, that the checks mean something
+    assert counts[0] >= 150 and counts[1] >= 40 and replayed >= 30
+
+
+def _factors(e):
+    return list(e.factors) if isinstance(e, Product) else [] if e == ONE else [e]
+
+
+def test_sorting_by_heads_gives_the_order_of_the_whole_texts():
+    rng = np.random.default_rng(17)
+    names = ["A", "B", "C", "D"]
+    for _ in range(300):
+        factors = [
+            f for _ in range(int(rng.integers(2, 9)))
+            for f in _factors(random_estimand(rng, names, depth=int(rng.integers(0, 4))))
+        ]
+        got = [_text(f) for f in sorted(factors, key=_TextKey)]
+        assert got == sorted(_text(f) for f in factors)
+
+
+def test_heads_are_prefixes_of_the_whole_texts():
+    a, b, c = prob(["A"], ["C"]), prob(["B"]), prob(["C"])
+    bodies = [  # every kind a sum's body or a quotient's numerator can be
+        a,
+        sum_over(["A"], a),  # overlaps the outer sum, so the two stay nested
+        product([a, b]),
+        product([quotient(a, b), c]),
+        product([sum_over(["A"], a), b]),
+        quotient(a, b),
+        quotient(sum_over(["A"], a), b),
+        ONE,
+    ]
+    sums = [sum_over(["A", "D"], e) for e in bodies]
+    quotients = [quotient(e, c) for e in bodies]
+    kinds = {Prob, SumOver, Product, Quotient, One}
+    assert {type(s.body) for s in sums} == {type(q.num) for q in quotients} == kinds
+    factors = [a, *sums, *quotients]
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        factors += _factors(random_estimand(rng, ["A", "B", "C"], depth=int(rng.integers(0, 4))))
+    for f in factors:
+        assert _text(f).startswith(_head(f)) and _head(f)
 
 
 def test_only_the_graph_module_reads_masks():
