@@ -4,9 +4,10 @@ A :class:`DiscreteScm` realizes an augmented graph: every bidirected edge
 becomes one explicit latent variable with two children, every vertex gets a
 conditional probability table over its directed parents plus incident
 latents, and the selection vertex is a binary variable whose value 1 means
-"sampled".  All distributions are computed exactly by summing the full joint
-(numpy broadcasting), never by simulation, so oracle answers are correct to
-floating-point rounding.
+"sampled".  All distributions are computed exactly by summing products of the
+tables (numpy broadcasting), never by simulation, so oracle answers are correct
+to floating-point rounding.  Sub-population distributions are computed inside
+the S=1 slice: the selection table is cut to S=1 before any product.
 
 :func:`verify` closes the loop: it runs the identification algorithm on a
 graph, tabulates the estimand on the exact observational table of random
@@ -102,6 +103,9 @@ class ProbabilityTable:
         """Marginal of the sorted names ``keep``, size 1 on other axes; cached, read-only."""
         cached = self._cache.get(keep)
         if cached is None:
+            unknown = [v for v in keep if v not in self._domains]
+            if unknown:
+                raise KeyError(f"table has no variable {unknown[0]!r}")
             drop = tuple(i for i, v in enumerate(self._variables) if v not in keep)
             cached = self._values.sum(axis=drop, keepdims=True)
             self._cache[keep] = cached
@@ -136,12 +140,14 @@ def _integer(what: str, value: object, least: int) -> int:
     return int(value)
 
 
-def _parent_map(g: AugmentedAdmg) -> dict[str, tuple[str, ...]]:
+def _parent_map(
+    g: AugmentedAdmg, edges: tuple[tuple[str, str], ...]
+) -> dict[str, tuple[str, ...]]:
     """Sorted parents of every model variable: directed parents plus the
-    latents of incident bidirected edges; latents have none."""
+    latents of the bidirected ``edges``; latents have none."""
     out: dict[str, tuple[str, ...]] = {}
     latents: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for edge in g.bidirected_edges:
+    for edge in edges:
         name = latent_name(*edge)
         out[name] = ()
         for end in edge:
@@ -182,7 +188,7 @@ class DiscreteScm:
                 raw = cpts[name]
             except KeyError:
                 raise ValueError(f"missing conditional table for {name!r}") from None
-            want = self._shape(name)
+            want = self._plan[name][0]
             arr = np.asarray(raw, dtype=float)
             if arr.shape != want:
                 raise ValueError(
@@ -195,13 +201,17 @@ class DiscreteScm:
                 raise ValueError(f"rows of the table for {name!r} do not sum to 1")
             self._cpts[name] = arr
 
-    def _layout(self, graph: AugmentedAdmg, domains: Mapping[str, int]) -> None:
-        """Every structural check, then sizes, sorted names, parents and axes;
-        no table is read, so :func:`random_scm` runs this before drawing."""
+    def _layout(
+        self, graph: AugmentedAdmg, domains: Mapping[str, int], latent_size: int = 2
+    ) -> None:
+        """Every structural check, then sizes, sorted names, parents and each
+        table's layout; no table is read, so :func:`random_scm` runs this
+        before drawing.  Latents missing from ``domains`` get ``latent_size``."""
         if graph.selection is None:
             raise GraphError("an SCM requires a graph with a selection vertex")
         self.graph = graph
-        self._latents = tuple(sorted(latent_name(u, v) for u, v in graph.bidirected_edges))
+        edges = graph.bidirected_edges
+        self._latents = tuple(sorted(latent_name(u, v) for u, v in edges))
         clash = sorted(set(self._latents) & set(graph.vertices))
         if clash:
             raise GraphError(
@@ -214,19 +224,28 @@ class DiscreteScm:
                 raise ValueError(f"missing domain size for {v!r}")
             sizes[v] = 2 if v == graph.selection else _integer(f"domain of {v!r}", domains[v], 2)
         for l in self._latents:
-            sizes[l] = _integer(f"domain of {l!r}", domains.get(l, 2), 2)
+            sizes[l] = _integer(f"domain of {l!r}", domains.get(l, latent_size), 2)
         self._sizes = sizes
         self._names = tuple(sorted(sizes))
         if math.prod(sizes.values()) > MAX_STATES:
             raise ValueError(
                 f"state space exceeds {MAX_STATES} cells; exact computation refused"
             )
-        self._parents = _parent_map(graph)
-        self._axis = {n: i for i, n in enumerate(self._names)}
-
-    def _shape(self, name: str) -> tuple[int, ...]:
-        """The table shape of ``name``: its parents' sizes, then its own."""
-        return tuple(self._sizes[p] for p in self._parents[name]) + (self._sizes[name],)
+        self._parents = _parent_map(graph, edges)
+        axis = {n: i for i, n in enumerate(self._names)}
+        # per variable: its table shape, then the transpose and the shape that
+        # lay the table over the full variable order; that order is sorted by
+        # name, so the table's axes sorted by name fit it
+        self._plan: dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
+        for name in self._names:
+            axes = self._parents[name] + (name,)
+            full = [1] * len(self._names)
+            for a in axes:
+                full[axis[a]] = sizes[a]
+            order = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+            self._plan[name] = (tuple(sizes[a] for a in axes), order, tuple(full))
+        # the selection vertex is a sink, so only its own table has its axis
+        self._selected = (slice(None),) * axis[graph.selection] + (slice(1, 2),)
 
     # -- structure accessors -------------------------------------------------
 
@@ -235,44 +254,62 @@ class DiscreteScm:
         return self._latents
 
     def parent_list(self, name: str) -> tuple[str, ...]:
-        return self._parents[name]
+        try:
+            return self._parents[name]
+        except KeyError:
+            raise KeyError(f"model has no variable {name!r}") from None
 
     def domain_size(self, name: str) -> int:
-        return self._sizes[name]
+        try:
+            return self._sizes[name]
+        except KeyError:
+            raise KeyError(f"model has no variable {name!r}") from None
 
     # -- exact distributions ---------------------------------------------------
 
-    def _expanded(self, name: str) -> np.ndarray:
-        """The CPT of ``name`` broadcast over the full variable order."""
-        axes = self._parents[name] + (name,)
-        shape = [1] * len(self._names)
-        for a in axes:
-            shape[self._axis[a]] = self._sizes[a]
-        # the full variable order is sorted by name, so axes sorted by name fit it
-        order = sorted(range(len(axes)), key=axes.__getitem__)
-        return self._cpts[name].transpose(order).reshape(shape)
+    def _factors(self, selected: bool) -> dict[str, np.ndarray]:
+        """Every CPT laid out over the full variable order, in name order.
+        With ``selected`` the selection table keeps only its S=1 half, so
+        every product of these factors stays inside the selected slice."""
+        out = {
+            name: self._cpts[name].transpose(order).reshape(full)
+            for name, (_, order, full) in self._plan.items()
+        }
+        if selected:
+            s = self.graph.selection
+            out[s] = out[s][self._selected]
+        return out
 
-    def _product(self, skip: Collection[str] = ()) -> np.ndarray:
-        """Product of the CPTs of every variable outside ``skip``: skipping the
-        treatments gives the truncated factorisation, whose treatment axes
-        index the intervention value (size 1 where no remaining CPT reads it)."""
-        factors = [self._expanded(n) for n in self._names if n not in skip]
-        return functools.reduce(np.multiply, factors)
-
-    def _full_joint(self, do: Mapping[str, int] | None = None) -> np.ndarray:
+    def _full_joint(
+        self, do: Mapping[str, int] | None = None, selected: bool = False
+    ) -> np.ndarray:
+        """The joint after ``do`` (size 1 on each treatment axis), over both
+        values of S or, with ``selected``, over S=1 alone."""
         do = dict(do or {})
+        observed = set(self.graph.observed)
         for v, val in do.items():
-            if v not in set(self.graph.observed):
+            if v not in observed:
                 raise GraphError(f"cannot intervene on {v!r}")
             _check_value(v, val, self._sizes[v])
-        full = np.broadcast_to(self._product(do), [self._sizes[n] for n in self._names])
-        at = tuple(slice(do[n], do[n] + 1) if n in do else slice(None) for n in self._names)
+        full = _product(self._factors(selected), do)
+        # a treatment axis that no remaining CPT reads has size 1 already
+        at = tuple(
+            slice(do[n], do[n] + 1) if n in do and k > 1 else slice(None)
+            for n, k in zip(self._names, full.shape)
+        )
         return full[at]
 
-    def _table(self, arr: np.ndarray, keep: set[str]) -> ProbabilityTable:
+    def _table(self, arr: np.ndarray, keep: set[str], selected: bool = False) -> ProbabilityTable:
+        """The marginal of ``arr`` on ``keep``; with ``selected``, ``arr`` lies
+        inside the S=1 slice and the marginal is divided by its total."""
         drop = tuple(i for i, n in enumerate(self._names) if n not in keep)
         kept = tuple(n for n in self._names if n in keep)
         values = arr.sum(axis=drop) if drop else arr
+        if selected:
+            total = float(values.sum())
+            if total <= 0.0:
+                raise PositivityError("the selected sub-population has probability zero")
+            values = values / total
         return ProbabilityTable(kept, tuple(self._sizes[n] for n in kept), values)
 
     def latent_joint(self) -> ProbabilityTable:
@@ -285,7 +322,8 @@ class DiscreteScm:
 
     def observational_s(self) -> ProbabilityTable:
         """P(V | S=1): the observational distribution of the sub-population."""
-        return self._condition_selected(self._full_joint(), set(self.graph.observed))
+        keep = set(self.graph.observed)
+        return self._table(self._full_joint(selected=True), keep, selected=True)
 
     def interventional_joint(self, do: Mapping[str, int]) -> ProbabilityTable:
         """Post-intervention joint over the untouched vertices plus selection."""
@@ -295,7 +333,7 @@ class DiscreteScm:
     def interventional_s(self, do: Mapping[str, int]) -> ProbabilityTable:
         """Post-intervention distribution inside the selected sub-population."""
         keep = set(self.graph.observed) - set(do)
-        return self._condition_selected(self._full_joint(do), keep)
+        return self._table(self._full_joint(do, selected=True), keep, selected=True)
 
     def interventional_population(self, do: Mapping[str, int]) -> ProbabilityTable:
         """Post-intervention distribution of the whole population."""
@@ -306,23 +344,24 @@ class DiscreteScm:
         self, treatment: tuple[str, ...], outcome: tuple[str, ...]
     ) -> tuple[np.ndarray, ProbabilityTable]:
         """P(outcome | do(treatment), S=1) at every value pair, and P(V | S=1),
-        both from one truncated product.  The effect has one axis per treatment
-        and outcome variable, sorted (size 1 for a treatment nothing reads)."""
+        both from one truncated product computed inside the S=1 slice.  The
+        effect has one axis per treatment and outcome variable, sorted (size 1
+        for a treatment nothing reads)."""
         keep = sorted(set(treatment) | set(outcome))
-        truncated = self._product(treatment)
-        sel = np.take(truncated, [1], axis=self._axis[self.graph.selection])
-        joint = sel.sum(axis=tuple(i for i, n in enumerate(self._names) if n not in keep))
+        factors = self._factors(selected=True)
+        truncated = _product(factors, treatment)
+        joint = truncated.sum(axis=tuple(i for i, n in enumerate(self._names) if n not in keep))
         in_outcome = tuple(i for i, n in enumerate(keep) if n in outcome)
         effect = joint / joint.sum(axis=in_outcome, keepdims=True)
-        full = functools.reduce(np.multiply, map(self._expanded, treatment), truncated)
-        return effect, self._condition_selected(full, set(self.graph.observed))
+        full = functools.reduce(np.multiply, [factors[t] for t in treatment], truncated)
+        return effect, self._table(full, set(self.graph.observed), selected=True)
 
-    def _condition_selected(self, arr: np.ndarray, keep: set[str]) -> ProbabilityTable:
-        sliced = np.take(arr, [1], axis=self._axis[self.graph.selection])
-        total = float(sliced.sum())
-        if total <= 0.0:
-            raise PositivityError("the selected sub-population has probability zero")
-        return self._table(sliced / total, keep)
+
+def _product(factors: Mapping[str, np.ndarray], skip: Collection[str]) -> np.ndarray:
+    """Product of the laid-out CPTs outside ``skip``: skipping the treatments
+    gives the truncated factorisation, whose treatment axes index the
+    intervention value (size 1 where no remaining CPT reads it)."""
+    return functools.reduce(np.multiply, [f for n, f in factors.items() if n not in skip])
 
 
 def random_scm(
@@ -345,8 +384,7 @@ def random_scm(
     seed = _integer("seed", seed, 0)
     min_prob = _min_prob(min_prob, domain_size)
     scm = DiscreteScm.__new__(DiscreteScm)  # tables drawn here need no re-check
-    latents = (latent_name(u, v) for u, v in g.bidirected_edges)
-    scm._layout(g, dict.fromkeys(itertools.chain(g.observed, latents), domain_size))
+    scm._layout(g, dict.fromkeys(g.observed, domain_size), domain_size)
     return _draw(scm, min_prob, seed)
 
 
@@ -363,7 +401,7 @@ def _min_prob(min_prob: object, domain_size: int) -> float:
 
 def _draw(scm: DiscreteScm, min_prob: float, seed: int) -> DiscreteScm:
     """Replace the tables of the laid-out ``scm`` by the draws of ``seed``."""
-    shapes = [scm._shape(n) for n in scm._names]
+    shapes = [shape for shape, _, _ in scm._plan.values()]
     counts = [math.prod(shape) for shape in shapes]
     # rng.dirichlet(np.ones(k)) is k standard exponentials times the reciprocal
     # of their sequential sum: one exponential per entry, in table order, and a

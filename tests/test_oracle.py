@@ -103,6 +103,15 @@ def test_table_marginals():
         t.marginal(["B", "C"])
 
 
+def test_table_marginal_array_refuses_unknown_names():
+    t = ProbabilityTable(("A", "B"), (2, 2), np.full((2, 2), 0.25))
+    with pytest.raises(KeyError, match="table has no variable 'Q'"):
+        t.marginal_array(("Q",))
+    with pytest.raises(KeyError, match="table has no variable 'Q'"):
+        t.marginal_array(("A", "Q"))
+    assert t.marginal_array(("A",)).tolist() == [[0.5], [0.5]]
+
+
 def test_table_prob_rejects_invalid_values():
     t = ProbabilityTable(("A", "B"), (2, 2), np.array([[0.1, 0.2], [0.3, 0.4]]))
     for bad in (-1, 2, 5, 0.5, True):
@@ -150,6 +159,13 @@ def test_scm_parent_lists():
     assert scm.parent_list("S") == ("S~Y", "Z")
     assert scm.parent_list("X") == ("X~Z",)
     assert scm.parent_list("S~Y") == ()
+
+
+def test_scm_accessors_name_an_unknown_variable():
+    scm = demo_model()
+    for accessor in (scm.domain_size, scm.parent_list):
+        with pytest.raises(KeyError, match="model has no variable 'Q'"):
+            accessor("Q")
 
 
 def test_scm_rejects_latent_name_collision():
@@ -355,6 +371,51 @@ def test_demo_joint_is_exact():
     scm = demo_model()
     assert scm.joint().prob({}) == pytest.approx(1.0, abs=1e-14)
     assert scm.observational_s().prob({}) == pytest.approx(1.0, abs=1e-14)
+
+
+def _conditioned_on_selection(table):
+    """``table``, a distribution over S among others, conditioned on S=1 by hand."""
+    values = np.take(table.values, 1, axis=table.variables.index("S"))
+    return tuple(v for v in table.variables if v != "S"), values / values.sum()
+
+
+def _sliced_cases():
+    """Seeded random models, then the verify benchmark's chain at domain 3."""
+    rng = np.random.default_rng(18)
+    for seed in range(12):
+        g = random_admg(rng, n_obs=int(rng.integers(2, 5)))
+        k = int(rng.integers(1, len(g.observed)))  # leave at least one outcome
+        x = tuple(sorted(map(str, rng.choice(g.observed, k, replace=False))))
+        y = tuple(v for v in g.observed if v not in x)
+        yield random_scm(g, 2, 0.05, seed), x, y
+    chain = "".join(f"V{i} -> V{i + 1}\n" for i in range(4))
+    chain += "".join(f"V{i} <-> V{i + 2}\n" for i in range(3)) + "V0 -> S\nselect S\n"
+    yield random_scm(parse_graph(chain).graph, 3, 0.05, 18), ("V1",), ("V4",)
+
+
+def test_selected_slice_equals_the_full_joint_conditioned_by_hand():
+    for scm, x, y in _sliced_cases():
+        obs = scm.observational_s()
+        names, want = _conditioned_on_selection(scm.joint())
+        assert obs.variables == names
+        np.testing.assert_allclose(obs.values, want, rtol=0, atol=1e-12)
+
+        effect, effect_obs = scm._selected_effect(x, y)
+        np.testing.assert_allclose(effect_obs.values, want, rtol=0, atol=1e-12)
+        keep = sorted(set(x) | set(y))
+        for values in np.ndindex(*map(scm.domain_size, x)):
+            do = dict(zip(x, values))
+            sub = scm.interventional_s(do)
+            names, want = _conditioned_on_selection(scm.interventional_joint(do))
+            assert sub.variables == names
+            np.testing.assert_allclose(sub.values, want, rtol=0, atol=1e-12)
+            cell = tuple(
+                (do[n] if effect.shape[i] > 1 else 0) if n in do else slice(None)
+                for i, n in enumerate(keep)
+            )
+            np.testing.assert_allclose(
+                effect[cell], sub.marginal(y).values, rtol=0, atol=1e-12
+            )
 
 
 # -- random models -------------------------------------------------------------------
