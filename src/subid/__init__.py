@@ -6,121 +6,33 @@ the effect of an intervention expressible from the sub-population's
 observational distribution alone, and if so, by what formula?  Estimands are
 symbolic trees that can be rendered (text/LaTeX/JSON) and evaluated exactly
 against probability tables; a built-in discrete-SCM oracle verifies them.
+
+Every name in a layer module's ``__all__`` is served from here.
 """
 
-from .components import (
-    c_components,
-    find_hedge,
-    is_ancestral,
-    is_hedge,
-    is_s_hedge,
-    s_components,
-)
-from .estimand import (
-    ONE,
-    Estimand,
-    PositivityError,
-    Prob,
-    Product,
-    QsFactor,
-    Quotient,
-    SumOver,
-    One,
-    estimand_from_dict,
-    estimand_to_dict,
-    evaluate,
-    free_vars,
-    from_json,
-    prob,
-    product,
-    qs_base,
-    qs_decompose,
-    qs_marginalize,
-    quotient,
-    render,
-    sum_over,
-    to_json,
-)
-from .graph import AugmentedAdmg, CycleError, GraphError
-from .identify import (
-    HedgeWitness,
-    IdentifyResult,
-    SeparationWitness,
-    is_id,
-    s_id,
-    s_id_single,
-    s_recover,
-    sid_separation,
-)
-from .parser import GraphDocument, ParseError, parse_graph, serialize_graph
-from .separation import m_separated, m_separated_bruteforce
+from . import components, estimand, graph, identify, parser, separation
+from .components import *
+from .estimand import *
+from .graph import *
+from .identify import *
+from .parser import *
+from .separation import *
 
 __version__ = "0.1.0"
 
+# the oracle's names (its ``__all__``), imported on first use: the oracle
+# builds numpy tables, and identification alone never loads numpy
+_ORACLE = ("DiscreteScm", "ProbabilityTable", "demo_graph_text", "demo_model",
+           "latent_name", "random_scm", "verify")
+
 
 def __getattr__(name: str):
-    """The oracle's names, imported on first use: the oracle builds numpy
-    tables, and identification alone never loads numpy."""
-    if name in ("DiscreteScm", "ProbabilityTable", "demo_graph_text", "demo_model",
-                "latent_name", "random_scm", "verify"):
+    if name in _ORACLE:
         from . import oracle
 
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "AugmentedAdmg",
-    "CycleError",
-    "DiscreteScm",
-    "Estimand",
-    "GraphDocument",
-    "GraphError",
-    "HedgeWitness",
-    "IdentifyResult",
-    "ONE",
-    "One",
-    "ParseError",
-    "PositivityError",
-    "Prob",
-    "ProbabilityTable",
-    "Product",
-    "QsFactor",
-    "Quotient",
-    "SeparationWitness",
-    "SumOver",
-    "c_components",
-    "demo_graph_text",
-    "demo_model",
-    "estimand_from_dict",
-    "estimand_to_dict",
-    "evaluate",
-    "find_hedge",
-    "free_vars",
-    "from_json",
-    "is_ancestral",
-    "is_hedge",
-    "is_id",
-    "is_s_hedge",
-    "latent_name",
-    "m_separated",
-    "m_separated_bruteforce",
-    "parse_graph",
-    "prob",
-    "product",
-    "qs_base",
-    "qs_decompose",
-    "qs_marginalize",
-    "quotient",
-    "random_scm",
-    "render",
-    "s_components",
-    "s_id",
-    "s_id_single",
-    "s_recover",
-    "serialize_graph",
-    "sid_separation",
-    "sum_over",
-    "to_json",
-    "verify",
-]
+__all__ = sorted({*components.__all__, *estimand.__all__, *graph.__all__, *identify.__all__,
+                  *parser.__all__, *separation.__all__, *_ORACLE})

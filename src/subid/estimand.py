@@ -133,8 +133,14 @@ Estimand = Union[Prob, SumOver, Product, Quotient, One]
 
 ONE = One()
 
+def _node(e: object) -> Estimand:
+    if not isinstance(e, (Prob, SumOver, Product, Quotient, One)):
+        raise TypeError(f"not an estimand node: {e!r}")
+    return e
 
-def _names(values: Iterable[str], what: str) -> tuple[str, ...]:
+
+def _names(values: Iterable[str], what: str, *, canonical: bool = True) -> tuple[str, ...]:
+    """Non-empty names, sorted and distinct if ``canonical``, else as given."""
     if isinstance(values, str):
         raise ValueError(f"{what} must be a collection of names, got the string {values!r}")
     if not isinstance(values, Iterable):
@@ -143,7 +149,7 @@ def _names(values: Iterable[str], what: str) -> tuple[str, ...]:
     if not all(map(isinstance, values, itertools.repeat(str))) or "" in values:
         bad = next(v for v in values if not isinstance(v, str) or not v)
         raise ValueError(f"{what} must be non-empty strings, got {bad!r}")
-    if all(map(operator.lt, values, values[1:])):  # already sorted and distinct
+    if not canonical or all(map(operator.lt, values, values[1:])):  # already sorted and distinct
         return values
     return tuple(sorted(set(values)))
 
@@ -169,8 +175,8 @@ def sum_over(bound: Iterable[str], body: Estimand) -> Estimand:
     """Sum ``body`` over ``bound``; empty sums vanish, nested sums merge."""
     bound_t = _names(bound, "bound variables")
     if not bound_t:
-        return body
-    if isinstance(body, SumOver) and not set(bound_t) & set(body.over):
+        return _node(body)
+    if isinstance(_node(body), SumOver) and not set(bound_t) & set(body.over):
         return SumOver(tuple(sorted(set(bound_t) | set(body.over))), body.body)
     return SumOver(bound_t, body)
 
@@ -331,9 +337,9 @@ def _telescope(flat: list[Estimand]) -> bool:
 
 def quotient(num: Estimand, den: Estimand) -> Estimand:
     """num / den; unit denominators vanish, identical sides cancel."""
-    if isinstance(den, One):
-        return num
-    if num == den:
+    if isinstance(_node(den), One):
+        return _node(num)
+    if _node(num) == den:
         return ONE
     return Quotient(num, den)
 
@@ -341,29 +347,37 @@ def quotient(num: Estimand, den: Estimand) -> Estimand:
 # -- structural queries ------------------------------------------------------
 
 
+_UP = object()  # _postorder's marker, which no child can be
+
+
 def _postorder(root: Estimand) -> list[Estimand]:
     """Each distinct node of ``root`` once (by identity), children before their
     parent and left to right, from an explicit stack, so any depth walks."""
     order: list[Estimand] = []
     seen: set[int] = set()
-    # None sits above a node whose children are still being walked; the tree
+    # _UP sits above a node whose children are still being walked; the tree
     # is acyclic, so a node met again has been appended to ``order`` already
-    stack: list[Estimand | None] = [root]
+    stack: list[object] = [root]
     while stack:
         node = stack.pop()
-        if node is None:
+        if node is _UP:
             order.append(stack.pop())
             continue
         if id(node) in seen:
             continue
         seen.add(id(node))
-        stack += (node, None)
+        if isinstance(node, Prob):  # the commonest leaf, done at once
+            order.append(node)
+            continue
+        stack += (node, _UP)
         if isinstance(node, SumOver):
             stack.append(node.body)
         elif isinstance(node, Product):
             stack += reversed(node.factors)
         elif isinstance(node, Quotient):
             stack += (node.den, node.num)
+        elif not isinstance(node, One):
+            raise TypeError(f"not an estimand node: {node!r}")
     return order
 
 
@@ -595,10 +609,8 @@ def estimand_to_dict(e: Estimand) -> dict:
             d = {"kind": "sum", "over": list(node.over), "body": out[id(node.body)]}
         elif isinstance(node, Product):
             d = {"kind": "product", "factors": [out[id(f)] for f in node.factors]}
-        elif isinstance(node, Quotient):
+        else:  # a Quotient: _postorder refuses anything that is not a node
             d = {"kind": "quotient", "num": out[id(node.num)], "den": out[id(node.den)]}
-        else:
-            raise TypeError(f"not an estimand node: {node!r}")
         out[id(node)] = d
     return out[id(e)]
 

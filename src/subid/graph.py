@@ -59,9 +59,13 @@ def _as_names(vertices: Iterable[str]) -> tuple[str, ...]:
 
 
 def _ends(pairs: Iterable[tuple[str, str]], index: dict[str, int]):
-    """Each edge's pair of endpoint indices; an edge that is not a pair (a
-    string is not), a self-loop or an undeclared end raises."""
-    for edge in pairs:
+    """Each edge's pair of endpoint indices; ``pairs`` that is not a collection, an
+    edge that is not a pair (a string is not), a self-loop or an undeclared end raises."""
+    try:
+        edges = iter(pairs)
+    except TypeError:
+        raise GraphError(f"expected a collection of edges, got {pairs!r}") from None
+    for edge in edges:
         try:
             u, v = () if isinstance(edge, str) else edge
         except (TypeError, ValueError):

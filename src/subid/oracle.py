@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 import numbers
-from typing import Collection, Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .graph import AugmentedAdmg, GraphError
 from .identify import s_id
 from .parser import parse_graph
 
+# served lazily by the package: subid/__init__.py's _ORACLE mirrors this list
 __all__ = [
     "ProbabilityTable",
     "DiscreteScm",
@@ -54,18 +55,13 @@ class ProbabilityTable:
     __slots__ = ("_variables", "_domains", "_values", "_cache")
 
     def __init__(self, variables, domains, values, *, normalized: bool = True):
-        if isinstance(variables, str):
-            raise ValueError(
-                f"variables must be a collection of names, got the string {variables!r}"
-            )
-        self._variables = tuple(variables)
-        if not all(map(isinstance, self._variables, itertools.repeat(str))) or "" in self._variables:
-            bad = next(v for v in self._variables if not isinstance(v, str) or not v)
-            raise ValueError(f"variables must be non-empty strings, got {bad!r}")
+        self._variables = _names(variables, "variables", canonical=False)
         if list(self._variables) != sorted(self._variables):
             raise ValueError("variables must be sorted")
         if len(set(self._variables)) != len(self._variables):
             raise ValueError("duplicate variable names")
+        if not isinstance(domains, Iterable):
+            raise ValueError(f"domain sizes must be a collection, got {domains!r}")
         domains = tuple(domains)
         if len(domains) != len(self._variables):
             raise ValueError(

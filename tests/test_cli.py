@@ -301,3 +301,15 @@ def test_oracle_names_are_served_by_the_package():
     namespace = {}
     exec("from subid import *", namespace)
     assert all(namespace[name] is getattr(subid, name) for name in subid.__all__)
+
+
+def test_package_names_are_the_layers_lists():
+    import subid.oracle
+
+    assert set(subid._ORACLE) == set(subid.oracle.__all__)
+    layers = [subid.components, subid.estimand, subid.graph, subid.identify, subid.parser,
+              subid.separation, subid.oracle]
+    names = [name for layer in layers for name in layer.__all__]
+    # a later star import would silently shadow an earlier layer's name
+    assert len(names) == len(set(names))
+    assert subid.__all__ == sorted(names)

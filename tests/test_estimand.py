@@ -203,6 +203,36 @@ def test_free_vars():
     assert free_vars(quotient(prob(["A"]), prob(["B"]))) == ("A", "B")
 
 
+def test_sum_over_refuses_a_body_that_is_not_a_node():
+    for bound in (["A"], []):
+        with pytest.raises(TypeError, match="^not an estimand node: 'P\\(A\\)'$"):
+            sum_over(bound, "P(A)")
+
+
+@pytest.mark.parametrize("bad", [3, None], ids=["int", "none"])
+def test_quotient_refuses_sides_that_are_not_nodes(bad):
+    for num, den in [(prob(["A"]), bad), (bad, prob(["A"])), (bad, ONE)]:
+        with pytest.raises(TypeError, match=f"^not an estimand node: {bad}$"):
+            quotient(num, den)
+
+
+@pytest.mark.parametrize(
+    "tree, bad",
+    [(SumOver(("A",), 5), "5"), (SumOver(("A",), "P(A)"), "'P\\(A\\)'"),
+     (Product((prob(["A"]), Quotient(prob(["B"]), 3))), "3"),
+     (Quotient(prob(["A"]), None), "None"), ("P(A)", "'P\\(A\\)'")],
+    ids=["sum-int", "sum-string", "quotient-int", "quotient-none", "root"],
+)
+@pytest.mark.parametrize(
+    "walk",
+    [lambda e: evaluate(e, TABLE, {"A": 0, "B": 1}), free_vars, estimand_to_dict],
+    ids=["evaluate", "free_vars", "estimand_to_dict"],
+)
+def test_walks_refuse_children_that_are_not_nodes(tree, bad, walk):
+    with pytest.raises(TypeError, match=f"^not an estimand node: {bad}$"):
+        walk(tree)
+
+
 # -- trees nested deeper than the interpreter stack ------------------------------
 
 

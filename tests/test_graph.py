@@ -307,6 +307,16 @@ def test_edges_that_are_not_pairs_rejected(kind, edge, shown):
         AugmentedAdmg(["A", "B", "C"], **{kind: [("A", "C"), edge]})
 
 
+@pytest.mark.parametrize(
+    "directed, bidirected, shown",
+    [(None, (), "None"), (5, (), "5"), ((), None, "None"), ((), 5, "5")],
+    ids=["directed-none", "directed-int", "bidirected-none", "bidirected-int"],
+)
+def test_edge_collections_that_are_not_iterable_rejected(directed, bidirected, shown):
+    with pytest.raises(GraphError, match=f"^expected a collection of edges, got {shown}$"):
+        AugmentedAdmg(["A", "B"], directed, bidirected)
+
+
 def test_edge_pairs_of_any_sequence_type_accepted():
     g = AugmentedAdmg(["A", "B", "C"], [["A", "B"], ("B", "C")], [["A", "C"]])
     assert g.directed_edges == (("A", "B"), ("B", "C"))

@@ -48,6 +48,24 @@ def test_table_refuses_names_that_marginal_would_refuse(variables, bad):
         ProbabilityTable(variables, shape, np.full(shape, 0.5 ** len(variables)))
 
 
+@pytest.mark.parametrize(
+    "variables, domains, message",
+    [(None, (2,), "^variables must be a collection of names, got None$"),
+     (5, (2,), "^variables must be a collection of names, got 5$"),
+     (("A",), None, "^domain sizes must be a collection, got None$"),
+     (("A",), 2, "^domain sizes must be a collection, got 2$")],
+    ids=["none", "int", "domains-none", "domains-int"],
+)
+def test_table_refuses_inputs_that_are_not_collections(variables, domains, message):
+    with pytest.raises(ValueError, match=message):
+        ProbabilityTable(variables, domains, [0.5, 0.5])
+
+
+def test_table_takes_names_from_a_one_shot_iterator():
+    t = ProbabilityTable(iter(["A", "B"]), iter([2, 2]), np.full((2, 2), 0.25))
+    assert t.variables == ("A", "B") and t.domain_size("B") == 2
+
+
 def test_table_needs_one_domain_size_per_variable():
     with pytest.raises(ValueError, match="2 variables but 1 domain sizes"):
         ProbabilityTable(("A", "B"), (2,), np.full((2, 2), 0.25))
