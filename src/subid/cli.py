@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from .estimand import estimand_to_dict, evaluate, render
+from .estimand import evaluate, render
 from .graph import AugmentedAdmg, GraphError
 from .identify import HedgeWitness, IdentifyResult, SeparationWitness, is_id, s_id, s_recover
 from .parser import ParseError, parse_graph
@@ -107,18 +107,7 @@ def identify_cmd(graph_path, treatment, outcome, mode, fmt, use_unicode) -> int:
         raise click.ClickException(str(exc)) from exc
 
     if fmt == "json":
-        payload = {
-            "mode": mode,
-            "query": {"treatment": list(x), "outcome": list(y)},
-            "status": result.status,
-            "estimand": (
-                estimand_to_dict(result.estimand)
-                if result.estimand is not None
-                else None
-            ),
-            "witness": result.witness.to_dict() if result.witness else None,
-        }
-        _dump(payload)
+        _dump({"mode": mode, "query": {"treatment": list(x), "outcome": list(y)}, **result.to_dict()})
     elif result.identifiable:
         if mode == "id-check":
             click.echo("identifiable")

@@ -33,13 +33,16 @@ by the same list-building renderer as :func:`render`, and only where those
 tie (the text form is not injective) is a structural key walked.  Telescoping
 partners are looked up in indexes keyed by the stored labels (or only the
 node type), never by rendering or hashing subtrees.  A component factor of
-:func:`qs_decompose` has one ratio per maximal run of positions; maximal runs
+``qs_decompose`` has one ratio per maximal run of positions; maximal runs
 never cancel, so its ratios are only sorted, without the telescope search.
 Every walk over a tree uses an explicit stack, so free variables, evaluation,
 text, latex and the JSON object work at any depth; latex streams left to
 right like text and holds no subtree strings.  Only JSON text, which the
 ``json`` module writes and reads recursively, and :func:`estimand_from_dict`
 raise ``ValueError`` for trees nested deeper than the interpreter stack allows.
+
+The module imports no other module: :mod:`subid.identify` asks the graph
+questions of the factor steps and hands ``_component_builder`` each order.
 """
 
 from __future__ import annotations
@@ -54,9 +57,6 @@ import operator
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Union
-
-from .components import is_ancestral, s_components
-from .graph import AugmentedAdmg, GraphError
 
 if TYPE_CHECKING:
     from .oracle import ProbabilityTable
@@ -82,9 +82,6 @@ __all__ = [
     "estimand_to_dict",
     "estimand_from_dict",
     "QsFactor",
-    "qs_base",
-    "qs_marginalize",
-    "qs_decompose",
 ]
 
 
@@ -696,56 +693,8 @@ class QsFactor:
     expr: Estimand
 
 
-def qs_base(g: AugmentedAdmg) -> QsFactor:
-    """The factor of the full non-ancestral part: plain observation.
-
-    Its expression is P(non-ancestral part | selection ancestry, S=1); with an
-    empty non-ancestral part the expression is the constant 1.
-    """
-    anc, non_anc = g.split_by_selection()
-    return QsFactor(non_anc, prob(non_anc, anc))
-
-
-def qs_marginalize(g: AugmentedAdmg, factor: QsFactor, to: Iterable[str]) -> QsFactor:
-    """Shrink a factor to an ancestral strict subset of its scope by summing.
-
-    Marginalizing a post-intervention factor is only valid when the target is
-    closed under taking parents within the factor's scope; a non-ancestral
-    target raises :class:`GraphError`.
-    """
-    target = g.vertex_set(to)
-    if not set(target) < set(factor.scope):
-        raise GraphError(
-            f"target {{{', '.join(target)}}} must be a strict subset of the "
-            f"factor scope {{{', '.join(factor.scope)}}}"
-        )
-    if not is_ancestral(g, target, factor.scope):
-        raise GraphError(
-            f"target {{{', '.join(target)}}} is not ancestral within "
-            f"{{{', '.join(factor.scope)}}}; summing a post-intervention "
-            "factor requires an ancestral target"
-        )
-    dropped = sorted(set(factor.scope) - set(target))
-    return QsFactor(target, sum_over(dropped, factor.expr))
-
-
-def qs_decompose(g: AugmentedAdmg, factor: QsFactor) -> list[QsFactor]:
-    """Split a factor into one factor per s-component of its scope.
-
-    The Tian & Pearl telescoping over the topological order of the scope:
-    with P_i the marginal of the factor on the first i vertices of the order
-    (P_0 = 1), a component's factor is the product of P_i / P_{i-1} over its
-    members, which telescopes to one P_b / P_{a-1} per maximal run a..b of
-    consecutive member positions.  Only those marginals are built, once for all
-    components, so a single-component scope returns the input expression unchanged.
-    """
-    build = _component_builder(g, factor)
-    return [build(comp) for comp in s_components(g, factor.scope)]
-
-
-def _component_builder(g: AugmentedAdmg, factor: QsFactor) -> Callable[..., QsFactor]:
-    """:func:`qs_decompose`'s factor of one s-component per call, sharing the prefix marginals."""
-    order = g.topological_order(factor.scope)
+def _component_builder(order: tuple[str, ...], factor: QsFactor) -> Callable[..., QsFactor]:
+    """``qs_decompose``'s factor of one s-component per call; ``order`` orders the scope."""
     pos = {v: i for i, v in enumerate(order, start=1)}
     expr = factor.expr  # P_i sums order[i:] out of it as sum_over would, names unchecked
     merged = isinstance(expr, SumOver) and not set(expr.over) & pos.keys()

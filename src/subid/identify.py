@@ -17,6 +17,10 @@ not re-validate the sets they build.  They call the graph's private
 name-in, name-out methods (the enclosing s-component, the scope loop, the
 m-connection walk) and sum each factor to an ancestry that the scope loop
 returned, so it is ancestral by construction.
+
+The module owns the graph side of the factor steps (``qs_*``), whose
+expressions :mod:`subid.estimand` builds, and a verdict's JSON form, which the
+CLI and ``verify`` both print.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
-from .components import c_components, s_components
-from .estimand import Estimand, QsFactor, prob, product, sum_over, _component_builder
+from .components import c_components, is_ancestral, s_components
+from .estimand import (Estimand, QsFactor, _component_builder, estimand_to_dict, prob,
+                       product, sum_over)
 from .graph import AugmentedAdmg, GraphError
 
 __all__ = [
@@ -38,6 +43,9 @@ __all__ = [
     "s_id_single",
     "s_recover",
     "is_id",
+    "qs_base",
+    "qs_marginalize",
+    "qs_decompose",
 ]
 
 
@@ -93,6 +101,12 @@ class IdentifyResult:
     @property
     def identifiable(self) -> bool:
         return self.status == "identifiable"
+
+    def to_dict(self) -> dict:
+        """JSON-ready form: ``status``, then the estimand's and the witness's objects or None."""
+        est, w = self.estimand, self.witness
+        return {"status": self.status, "estimand": None if est is None else estimand_to_dict(est),
+                "witness": None if w is None else w.to_dict()}
 
 
 def _disjoint_sets(
@@ -155,17 +169,67 @@ def sid_separation(
     return _separation_witness(g, x, y, set(g.split_by_selection()[0])) is None
 
 
+def qs_base(g: AugmentedAdmg) -> QsFactor:
+    """The factor of the full non-ancestral part: plain observation.
+
+    Its expression is P(non-ancestral part | selection ancestry, S=1); with an
+    empty non-ancestral part the expression is the constant 1.
+    """
+    anc, non_anc = g.split_by_selection()
+    return QsFactor(non_anc, prob(non_anc, anc))
+
+
+def qs_marginalize(g: AugmentedAdmg, factor: QsFactor, to: Iterable[str]) -> QsFactor:
+    """Shrink a factor to an ancestral strict subset of its scope by summing.
+
+    Marginalizing a post-intervention factor is only valid when the target is
+    closed under taking parents within the factor's scope; a non-ancestral
+    target raises :class:`GraphError`.
+    """
+    target = g.vertex_set(to)
+    if not set(target) < set(factor.scope):
+        raise GraphError(
+            f"target {{{', '.join(target)}}} must be a strict subset of the "
+            f"factor scope {{{', '.join(factor.scope)}}}"
+        )
+    if not is_ancestral(g, target, factor.scope):
+        raise GraphError(
+            f"target {{{', '.join(target)}}} is not ancestral within "
+            f"{{{', '.join(factor.scope)}}}; summing a post-intervention "
+            "factor requires an ancestral target"
+        )
+    return _summed(factor, target)
+
+
+def _summed(factor: QsFactor, to: tuple[str, ...]) -> QsFactor:
+    """``factor`` summed down to the scope ``to``, a subset of its own."""
+    kept = set(to)
+    return QsFactor(to, sum_over([v for v in factor.scope if v not in kept], factor.expr))
+
+
+def qs_decompose(g: AugmentedAdmg, factor: QsFactor) -> list[QsFactor]:
+    """Split a factor into one factor per s-component of its scope.
+
+    The Tian & Pearl telescoping over the topological order of the scope:
+    with P_i the marginal of the factor on the first i vertices of the order
+    (P_0 = 1), a component's factor is the product of P_i / P_{i-1} over its
+    members, which telescopes to one P_b / P_{a-1} per maximal run a..b of
+    consecutive member positions.  Only those marginals are built, once for all
+    components, so a single-component scope returns the input expression unchanged.
+    """
+    build = _component_builder(g.topological_order(factor.scope), factor)
+    return [build(comp) for comp in s_components(g, factor.scope)]
+
+
 def _replay(g: AugmentedAdmg, factor: QsFactor, steps) -> QsFactor:
     """The factor that the ``steps`` of ``AugmentedAdmg._narrow`` reach from
     ``factor``: marginalize to each ancestry, then take one s-component when
     it splits.  Each ancestry is ancestral within the scope before it, so the
     sum is taken as ``qs_marginalize`` would, without its checks."""
     for anc, part in steps:
-        kept = set(anc)
-        dropped = [v for v in factor.scope if v not in kept]
-        factor = QsFactor(anc, sum_over(dropped, factor.expr))
+        factor = _summed(factor, anc)
         if part != anc:
-            factor = _component_builder(g, factor)(part)
+            factor = _component_builder(g.topological_order(anc), factor)(part)
     return factor
 
 
@@ -228,7 +292,8 @@ def _s_id(g: AugmentedAdmg, x: tuple[str, ...], y: tuple[str, ...]) -> IdentifyR
             return IdentifyResult("fail", witness=HedgeWitness(comp, last))
         plans.append((t, steps))
     base = QsFactor(non_anc_t, prob(non_anc_t, anc_t))  # qs_base(g), from the split above
-    build = functools.cache(_component_builder(g, base))  # each enclosing factor at most once
+    order = g.topological_order(non_anc_t)
+    build = functools.cache(_component_builder(order, base))  # each enclosing factor at most once
     parts = [_replay(g, build(t), steps) for t, steps in plans]
 
     outer_prob = prob(anc - set(x), anc & set(x))

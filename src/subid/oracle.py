@@ -24,7 +24,7 @@ from collections.abc import Collection, Iterable, Mapping
 
 import numpy as np
 
-from .estimand import PositivityError, _check_value, _names, _tabulate, estimand_to_dict, render
+from .estimand import PositivityError, _check_value, _names, _tabulate, render
 from .graph import AugmentedAdmg, GraphError
 from .identify import s_id
 from .parser import parse_graph
@@ -491,21 +491,12 @@ def verify(
     x = g.vertex_set(treatment)
     y = g.vertex_set(outcome)
     result = s_id(g, x, y)
-    report: dict = {
-        "query": {"treatment": list(x), "outcome": list(y)},
-        "status": result.status,
-        "estimand": None,
-        "witness": None,
-        "trials": 0,
-        "max_abs_error": None,
-        "per_trial": [],
-    }
+    report: dict = {"query": {"treatment": list(x), "outcome": list(y)}, **result.to_dict(),
+                    "trials": 0, "max_abs_error": None, "per_trial": []}
     if not result.identifiable:
-        report["witness"] = result.witness.to_dict()
         return report
 
     est = result.estimand
-    report["estimand"] = estimand_to_dict(est)
     report["estimand_text"] = render(est, "text", unicode_sum=False)
     keep = set(x) | set(y)
     per_trial = []

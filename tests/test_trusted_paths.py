@@ -128,7 +128,7 @@ def _product_of_runs(g, factor, comp):
 def _check_builders(g, factor):
     """Every component factor of ``factor`` against ``product()`` of its ratios;
     returns how many components had one run and how many had several."""
-    build = _component_builder(g, factor)
+    build = _component_builder(g.topological_order(factor.scope), factor)
     counts = [0, 0]
     for comp in s_components(g, factor.scope):
         got, want = build(comp).expr, _product_of_runs(g, factor, comp)
@@ -154,13 +154,13 @@ def test_component_factors_equal_the_product_of_their_ratios():
             d = g.ancestors([v for v in y if v in non_anc], within=non_anc - set(x))
             for comp in s_components(g, d):
                 t = g._enclosing(comp)
-                factor = _component_builder(g, base)(t)
+                factor = _component_builder(g.topological_order(base.scope), base)(t)
                 for ancestry, part in g._narrow(comp, t, selected=True)[1]:
                     dropped = [v for v in factor.scope if v not in ancestry]
                     factor = QsFactor(ancestry, sum_over(dropped, factor.expr))
                     if part != ancestry:
                         counts += _check_builders(g, factor)
-                        factor = _component_builder(g, factor)(part)
+                        factor = _component_builder(g.topological_order(factor.scope), factor)(part)
                         replayed += 1
     # enough factors of several runs, and replayed ones, that the checks mean something
     assert counts[0] >= 150 and counts[1] >= 40 and replayed >= 30
