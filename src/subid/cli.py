@@ -107,7 +107,8 @@ def identify_cmd(graph_path, treatment, outcome, mode, fmt, use_unicode) -> int:
         raise click.ClickException(str(exc)) from exc
 
     if fmt == "json":
-        _dump({"mode": mode, "query": {"treatment": list(x), "outcome": list(y)}, **result.to_dict()})
+        query = {"treatment": list(x), "outcome": list(y)}
+        _dump({"mode": mode, "query": query, **result.to_dict()})
     elif result.identifiable:
         if mode == "id-check":
             click.echo("identifiable")

@@ -41,8 +41,9 @@ right like text and holds no subtree strings.  Only JSON text, which the
 ``json`` module writes and reads recursively, and :func:`estimand_from_dict`
 raise ``ValueError`` for trees nested deeper than the interpreter stack allows.
 
-The module imports no other module: :mod:`subid.identify` asks the graph
-questions of the factor steps and hands ``_component_builder`` each order.
+The module imports no other module of the package at run time: the graph
+questions of the factor steps are asked in :mod:`subid.identify`, which hands
+``_component_builder`` each topological order.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ class Prob:
     text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.of, tuple) and isinstance(self.given, tuple)):
+            raise TypeError(f"Prob needs tuples of names, got {self.of!r} and {self.given!r}")
         given = ",".join(self.given + ("S=1",))
         object.__setattr__(self, "text", f"P({','.join(self.of)}|{given})")
 
@@ -107,12 +110,18 @@ class SumOver:
     names: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.over, tuple):
+            raise TypeError(f"SumOver needs a tuple of names, got {self.over!r}")
         object.__setattr__(self, "names", ",".join(self.over))
 
 
 @dataclass(frozen=True)
 class Product:
     factors: tuple["Estimand", ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.factors, tuple):
+            raise TypeError(f"Product needs a tuple of factors, got {self.factors!r}")
 
 
 @dataclass(frozen=True)
@@ -195,14 +204,20 @@ def product(factors: Iterable[Estimand]) -> Estimand:
 
 
 def _flatten(factors: Iterable[Estimand]) -> list[Estimand]:
+    """The factors in order, products opened and units dropped at any depth."""
     flat: list[Estimand] = []
-    for f in factors:
-        if isinstance(f, Product):
-            flat.extend(f.factors)
-        elif isinstance(f, (Prob, SumOver, Quotient)):
-            flat.append(f)
-        elif not isinstance(f, One):
-            raise TypeError(f"not an estimand node: {f!r}")
+    todo = [iter(factors)]  # the factor lists being read, innermost last
+    while todo:
+        for f in todo[-1]:
+            if isinstance(f, (Prob, SumOver, Quotient)):
+                flat.append(f)
+            elif isinstance(f, Product):
+                todo.append(iter(f.factors))
+                break
+            elif not isinstance(f, One):
+                raise TypeError(f"not an estimand node: {f!r}")
+        else:
+            todo.pop()
     if len(flat) > 1:
         flat.sort(key=_TextKey)
     return flat
@@ -522,30 +537,39 @@ def evaluate(
 # -- rendering ----------------------------------------------------------------
 
 
+class _Piece(str):
+    """A literal piece of a renderer's output, pushed onto its stack among the
+    nodes; a plain string there is a child that is not a node, and is refused."""
+
+
+_SPACE, _SLASH, _OPEN, _CLOSE = map(_Piece, (" ", " / ", "(", ")"))
+_FRAC, _MID, _END, _LEFT, _RIGHT = map(_Piece, ("\\frac{", "}{", "}", "\\left(", "\\right)"))
+
+
 def _text(e: Estimand, sum_symbol: str = "Σ") -> str:
     """The text form of ``e``, its pieces gathered left to right.
 
-    Strings and nodes share one explicit stack, so any nesting depth renders.
+    Literal pieces and nodes share one explicit stack, so any nesting depth renders.
     """
     out: list[str] = []
-    stack: list[Estimand | str] = [e]
+    stack: list[Estimand | _Piece] = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, str):
+        if isinstance(node, _Piece):
             out.append(node)
         elif isinstance(node, Prob):
             out.append(node.text)
         elif isinstance(node, Quotient):  # pushed last to first
-            for side in (node.den, " / ", node.num):
-                stack += (side,) if isinstance(side, (str, Prob, One)) else (")", side, "(")
+            for side in (node.den, _SLASH, node.num):
+                stack += (side,) if isinstance(side, (_Piece, Prob, One)) else (_CLOSE, side, _OPEN)
         elif isinstance(node, SumOver):
             out.append(f"{sum_symbol}_{{{node.names}}} ")
             stack.append(node.body)
         elif isinstance(node, Product):
             for k, f in enumerate(reversed(node.factors)):
                 if k:
-                    stack.append(" ")
-                stack += (")", f, "(") if isinstance(f, Quotient) else (f,)
+                    stack.append(_SPACE)
+                stack += (_CLOSE, f, _OPEN) if isinstance(f, Quotient) else (f,)
         elif isinstance(node, One):
             out.append("1")
         else:
@@ -566,10 +590,10 @@ def _latex(e: Estimand) -> Iterator[str]:
     """The LaTeX form of ``e``, yielded left to right from one explicit stack
     like :func:`_text`; each ``Prob`` label is formatted once per call."""
     labels: dict[int, str] = {}
-    stack: list[Estimand | str] = [e]
+    stack: list[Estimand | _Piece] = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, str):
+        if isinstance(node, _Piece):
             yield node
         elif isinstance(node, Prob):
             label = labels.get(id(node))
@@ -578,15 +602,15 @@ def _latex(e: Estimand) -> Iterator[str]:
                 label = labels[id(node)] = f"P({', '.join(node.of)} \\mid {given})"
             yield label
         elif isinstance(node, Quotient):  # pushed last to first
-            stack += ("}", node.den, "}{", node.num, "\\frac{")
+            stack += (_END, node.den, _MID, node.num, _FRAC)
         elif isinstance(node, SumOver):
             yield f"\\sum_{{{', '.join(node.over)}}} "
             stack.append(node.body)
         elif isinstance(node, Product):
             for k, f in enumerate(reversed(node.factors)):
                 if k:
-                    stack.append(" ")
-                stack += ("\\right)", f, "\\left(") if isinstance(f, SumOver) else (f,)
+                    stack.append(_SPACE)
+                stack += (_RIGHT, f, _LEFT) if isinstance(f, SumOver) else (f,)
         elif isinstance(node, One):
             yield "1"
         else:

@@ -67,6 +67,10 @@ class ProbabilityTable:
             raise ValueError(
                 f"{len(self._variables)} variables but {len(domains)} domain sizes"
             )
+        if not ({*map(type, domains)} <= {int} and min(domains, default=1) >= 1):
+            # a bool, a numpy integer or a bad size: checked, and stored as int, one by one
+            domains = [_integer(f"domain size of {v!r}", k, 1)
+                       for v, k in zip(self._variables, domains)]
         self._domains = dict(zip(self._variables, domains))
         arr = np.asarray(values, dtype=float)
         if arr.shape != tuple(self._domains[v] for v in self._variables):

@@ -122,6 +122,16 @@ def test_sum_over_merges_disjoint_nests():
     assert shadowed == SumOver(("A",), SumOver(("A", "B"), body))
 
 
+def test_product_flattens_nested_products_and_units_at_any_depth():
+    a, b, c = prob(["A"]), prob(["B"]), prob(["C"])
+    assert product([Product((Product((a, b)), c))]) == product([a, b, c])
+    assert product([Product((ONE, a))]) == a
+    deep = a
+    for _ in range(1500):
+        deep = Product((Product((deep, ONE)), ONE))
+    assert product([deep, b]) == product([a, b])
+
+
 def test_product_flattens_and_sorts():
     a, b = prob(["A"]), prob(["B"])
     assert product([]) is ONE
@@ -231,6 +241,33 @@ def test_quotient_refuses_sides_that_are_not_nodes(bad):
 def test_walks_refuse_children_that_are_not_nodes(tree, bad, walk):
     with pytest.raises(TypeError, match=f"^not an estimand node: {bad}$"):
         walk(tree)
+
+
+@pytest.mark.parametrize(
+    "tree, bad",
+    [(SumOver(("A",), "P(A)"), "'P\\(A\\)'"), (Quotient("x", prob(["A"])), "'x'"),
+     ("abc", "'abc'"), (Product((prob(["A"]), "zz")), "'zz'")],
+    ids=["sum-body", "numerator", "root", "factor"],
+)
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_renderers_refuse_string_children(tree, bad, fmt):
+    # a string is no literal piece of the output: it is refused like an int
+    with pytest.raises(TypeError, match=f"^not an estimand node: {bad}$"):
+        render(tree, fmt)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: Prob("AB"), "Prob needs tuples of names, got 'AB' and \\(\\)"),
+     (lambda: Prob(("A",), ["B"]), "Prob needs tuples of names"),
+     (lambda: SumOver("AB", prob(["A"])), "SumOver needs a tuple of names, got 'AB'"),
+     (lambda: Product(5), "Product needs a tuple of factors, got 5"),
+     (lambda: Product([prob(["A"])]), "Product needs a tuple of factors")],
+    ids=["prob-of", "prob-given", "sum-over", "product-int", "product-list"],
+)
+def test_nodes_refuse_containers_that_are_not_tuples(build, message):
+    with pytest.raises(TypeError, match=f"^{message}"):
+        build()
 
 
 # -- trees nested deeper than the interpreter stack ------------------------------

@@ -14,7 +14,9 @@ from subid import (
     AugmentedAdmg,
     GraphError,
     HedgeWitness,
+    IdentifyResult,
     SeparationWitness,
+    estimand_to_dict,
     evaluate,
     free_vars,
     is_id,
@@ -221,6 +223,16 @@ def test_s_id_hedge_failure_carries_checkable_witness(hedges):
     assert r.estimand is None
     assert r.witness == HedgeWitness(component=("X2",), hedge=("X1", "X2"))
     assert is_s_hedge(hedges, r.witness.component, r.witness.hedge)
+
+
+def test_verdicts_give_one_json_form(hedges, medication):
+    ok = s_id(medication, ["X"], ["Y"])
+    assert ok.to_dict() == {"status": "identifiable", "estimand": estimand_to_dict(ok.estimand),
+                            "witness": None}
+    for r in (s_id(hedges, ["X1"], ["Y1", "Y2"]), s_id(hedges, ["Z2"], ["Y2"])):
+        assert r.to_dict() == {"status": "fail", "estimand": None, "witness": r.witness.to_dict()}
+    assert IdentifyResult("fail").to_dict() == {"status": "fail", "estimand": None, "witness": None}
+    assert list(ok.to_dict()) == ["status", "estimand", "witness"]
 
 
 def test_s_id_hedge_witness_is_the_s_hedge_search_result():

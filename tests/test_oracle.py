@@ -95,6 +95,24 @@ def test_table_refuses_non_finite_values(values, normalized):
         ProbabilityTable(["A"], [2], values, normalized=normalized)
 
 
+@pytest.mark.parametrize(
+    "size, message",
+    [(2.0, "must be an integer, got 2.0"), (True, "must be an integer, got True"),
+     ("2", "must be an integer, got '2'"), (0, "must be at least 1, got 0"),
+     (-1, "must be at least 1, got -1")],
+    ids=["float", "bool", "string", "zero", "negative"],
+)
+def test_table_refuses_domain_sizes_that_are_not_positive_integers(size, message):
+    with pytest.raises(ValueError, match=f"^domain size of 'A' {message}$"):
+        ProbabilityTable(("A",), (size,), [0.5, 0.5])
+
+
+def test_table_stores_integer_domain_sizes_as_int():
+    t = ProbabilityTable(("A", "B"), (np.int64(2), 1), np.full((2, 1), 0.5))
+    assert [type(t.domain_size(v)) for v in t.variables] == [int, int]
+    assert t.marginal(["A"]).prob({"A": 1}) == 0.5
+
+
 def test_table_refuses_a_bare_string_of_names():
     with pytest.raises(ValueError, match="got the string 'AB'"):
         ProbabilityTable("AB", (2, 2), np.full((2, 2), 0.25))

@@ -1,8 +1,10 @@
 """The unchecked paths inside ``s_id``, ``s_recover`` and ``is_id`` against the
 public checks they skip, the component factors built without ``product()``
 and the sort heads read off labels against the whole texts, and the module
-boundary that keeps masks in ``graph.py``."""
+boundaries that keep masks in ``graph.py`` and graph questions out of
+``estimand.py``."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -204,6 +206,22 @@ def test_heads_are_prefixes_of_the_whole_texts():
         factors += _factors(random_estimand(rng, ["A", "B", "C"], depth=int(rng.integers(0, 4))))
     for f in factors:
         assert _text(f).startswith(_head(f)) and _head(f)
+
+
+def test_the_estimand_module_imports_no_other_module_at_run_time():
+    tree = ast.parse((SRC / "estimand.py").read_text())
+    guarded = {
+        id(node)
+        for stmt in ast.walk(tree)
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING"
+        for node in ast.walk(stmt)
+    }
+    offenders = [
+        f"estimand.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in guarded
+    ]
+    assert offenders == []
 
 
 def test_only_the_graph_module_reads_masks():
