@@ -135,6 +135,8 @@ def identify_cmd(graph_path, treatment, outcome, mode, fmt, use_unicode) -> int:
 def verify_cmd(graph_path, treatment, outcome, trials, domain_size, seed, min_prob, demo) -> int:
     """Cross-check an estimand against exact randomized models."""
     if demo:
+        if graph_path or treatment or outcome:
+            raise click.ClickException("--demo takes no --graph, --treatment or --outcome")
         return _run_demo()
     if not graph_path:
         raise click.ClickException("--graph is required (or use --demo)")

@@ -4,7 +4,19 @@ import pytest
 
 from subid import parse_graph
 
-GRAPH_DIR = Path(__file__).resolve().parents[1] / "graphs"
+ROOT = Path(__file__).resolve().parents[1]
+GRAPH_DIR = ROOT / "graphs"
+# One file per pinned ``subid identify`` call: the command line as typed at the
+# repository root, ``# exit N``, then the exact stdout.  Tests, CI and the
+# README read the example outputs from here only.
+GOLDEN_DIR = ROOT / "tests" / "golden" / "cli"
+GOLDEN_CLI = sorted(GOLDEN_DIR.glob("*.txt"))
+
+
+def read_golden(path):
+    """A golden CLI file as (arguments after ``subid``, exit status, stdout)."""
+    command, status, stdout = path.read_bytes().decode("utf-8").split("\n", 2)
+    return command.split()[2:], int(status.removeprefix("# exit ")), stdout
 
 # one line per acceptance criterion, filled by tests/test_acceptance.py and
 # echoed after the run summary so the verdicts survive output capturing

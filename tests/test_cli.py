@@ -1,21 +1,23 @@
 """The command-line interface, driven through ``main`` with captured output."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import subid
-from subid.cli import main
+from subid.cli import identify_cmd, main
 
-from conftest import GRAPH_DIR
+from conftest import GOLDEN_CLI, GOLDEN_DIR, GRAPH_DIR, ROOT, read_golden
 
 MEDICATION = str(GRAPH_DIR / "medication.g")
 HEDGES = str(GRAPH_DIR / "hedges.g")
 LATENT = str(GRAPH_DIR / "latent_selection.g")
-CLASSIC = str(GRAPH_DIR / "id_classic.g")
 
 
 def run(capsys, *argv):
@@ -24,34 +26,42 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_identify_text_ascii_default(capsys):
-    code, out, _ = run(
-        capsys, "identify", "--graph", MEDICATION, "--treatment", "X",
-        "--outcome", "Y",
-    )
-    assert code == 0
-    assert out.strip() == (
-        "Sum_{Z} (P(X,Y|Z,S=1) / (Sum_{Y} P(X,Y|Z,S=1))) P(Z|S=1)"
-    )
+@pytest.mark.parametrize("path", GOLDEN_CLI, ids=lambda path: path.stem)
+def test_identify_matches_golden(capsys, monkeypatch, path):
+    argv, _, _ = read_golden(path)
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, *argv)
+    assert f"$ subid {' '.join(argv)}\n# exit {code}\n{out}".encode() == path.read_bytes()
 
 
-def test_identify_unicode_flag(capsys):
-    code, out, _ = run(
-        capsys, "identify", "--graph", MEDICATION, "--treatment", "X",
-        "--outcome", "Y", "--unicode",
-    )
-    assert code == 0
-    assert out.strip().startswith("Σ_{Z}")
+def test_readme_identify_examples_are_golden():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(\$ subid identify .*?)^```$", readme, re.M | re.S)
+    pinned = {f"$ subid {' '.join(argv)}\n{out}" for argv, _, out in map(read_golden, GOLDEN_CLI)}
+    assert blocks
+    for block in blocks:
+        assert block in pinned
 
 
-def test_identify_latex(capsys):
-    code, out, _ = run(
-        capsys, "identify", "--graph", MEDICATION, "--treatment", "X",
-        "--outcome", "Y", "--format", "latex",
+def test_benchmark_pins_agree_with_the_goldens():
+    # read perfbench/corpus.py's CLI_QUERIES as data, without importing the benchmark
+    tree = ast.parse((ROOT / "perfbench" / "corpus.py").read_text(encoding="utf-8"))
+    queries = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CLI_QUERIES"
     )
-    assert code == 0
-    assert "\\sum_{Z}" in out
-    assert "\\frac" in out
+
+    def call(args):  # the parsed options, in any order, with the graph file's name
+        params = identify_cmd.make_context("identify", list(args)).params
+        return tuple(sorted({**params, "graph_path": Path(params["graph_path"]).name}.items()))
+
+    golden = {call(argv[1:]): (status, out) for argv, status, out in map(read_golden, GOLDEN_CLI)}
+    for name, pins in queries.items():
+        for args, status, text in pins:
+            key = call(["--graph", name, *args])
+            assert key in golden, f"no golden file for {name} {' '.join(args)}"
+            assert golden[key][0] == status
+            assert text is None or golden[key][1] == text + "\n"
 
 
 def test_identify_json_is_canonical(capsys):
@@ -70,40 +80,6 @@ def test_identify_json_is_canonical(capsys):
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def test_identify_hedge_failure_exit_2(capsys):
-    code, out, _ = run(
-        capsys, "identify", "--graph", LATENT, "--treatment", "X",
-        "--outcome", "Y",
-    )
-    assert code == 2
-    assert out.strip() == (
-        "not identified by this algorithm: {X, Y} is an s-hedge for {Y}"
-    )
-
-
-def test_identify_separation_failure_message(capsys):
-    code, out, _ = run(
-        capsys, "identify", "--graph", HEDGES, "--treatment", "Z2",
-        "--outcome", "Y2",
-    )
-    assert code == 2
-    assert out.strip() == (
-        "not s-ID: {Z2} is not separated from {Y2} given {S} after edge surgery"
-    )
-
-
-def test_identify_srecover_failure_message(capsys):
-    code, out, _ = run(
-        capsys, "identify", "--graph", MEDICATION, "--treatment", "X",
-        "--outcome", "Y", "--mode", "srecover",
-    )
-    assert code == 2
-    assert out.strip() == (
-        "not s-recoverable: {Y} is not separated from {S} given {X} "
-        "after edge surgery"
-    )
-
-
 def test_identify_json_failure_carries_witness(capsys):
     code, out, _ = run(
         capsys, "identify", "--graph", LATENT, "--treatment", "X",
@@ -117,22 +93,6 @@ def test_identify_json_failure_carries_witness(capsys):
         "hedge": ["X", "Y"],
     }
     assert payload["estimand"] is None
-
-
-def test_id_check_mode(capsys):
-    code, out, _ = run(
-        capsys, "identify", "--graph", CLASSIC, "--treatment", "X1",
-        "--outcome", "Y1", "--mode", "id-check",
-    )
-    assert code == 0
-    assert out.strip() == "identifiable"
-
-    code, out, _ = run(
-        capsys, "identify", "--graph", CLASSIC, "--treatment", "X1",
-        "--outcome", "Y1,Y2", "--mode", "id-check",
-    )
-    assert code == 2
-    assert out.strip() == "not identifiable"
 
 
 def test_unknown_vertex_is_usage_error(capsys):
@@ -243,6 +203,18 @@ def test_verify_requires_graph_or_demo(capsys):
     assert "--outcome is required" in err
 
 
+@pytest.mark.parametrize(
+    "query",
+    [["--graph", MEDICATION, "--treatment", "X", "--outcome", "Y"], ["--graph", MEDICATION],
+     ["--treatment", "X"], ["--outcome", "Y"]],
+    ids=["query", "graph", "treatment", "outcome"],
+)
+def test_verify_demo_takes_no_query(capsys, query):
+    code, out, err = run(capsys, "verify", "--demo", *query)
+    assert (code, out) == (1, "")
+    assert "--demo takes no --graph, --treatment or --outcome" in err
+
+
 def test_verify_demo(capsys):
     code, out, _ = run(capsys, "verify", "--demo")
     assert code == 0
@@ -284,14 +256,14 @@ def test_module_entry_point_runs_the_cli():
 
     def run_module(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "subid.cli", "identify", "--graph", MEDICATION, *argv],
-            env=env, capture_output=True, text=True, timeout=60,
+            [sys.executable, "-m", "subid.cli", *argv],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
         )
 
-    proc = run_module("--treatment", "X", "--outcome", "Y")
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "Sum_{Z} (P(X,Y|Z,S=1) / (Sum_{Y} P(X,Y|Z,S=1))) P(Z|S=1)\n"
-    proc = run_module("--treatment", "Q", "--outcome", "Y")
+    argv, status, out = read_golden(GOLDEN_DIR / "medication-X-Y.txt")
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, "")
+    proc = run_module("identify", "--graph", MEDICATION, "--treatment", "Q", "--outcome", "Y")
     assert proc.returncode == 1
     assert "unknown vertices Q" in proc.stderr
 
