@@ -21,9 +21,9 @@ from .separation import *
 __version__ = "0.1.0"
 
 # the oracle's names (its ``__all__``), imported on first use: the oracle
-# builds numpy tables, and identification alone never loads numpy
-_ORACLE = ("DiscreteScm", "ProbabilityTable", "demo_graph_text", "demo_model",
-           "latent_name", "random_scm", "verify")
+# builds and evaluates numpy tables, and identification alone never loads numpy
+_ORACLE = ("DiscreteScm", "PositivityError", "ProbabilityTable", "demo_graph_text",
+           "demo_model", "evaluate", "latent_name", "random_scm", "verify")
 
 
 def __getattr__(name: str):

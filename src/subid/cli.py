@@ -12,8 +12,9 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
-from .estimand import evaluate, render
+from .estimand import render
 from .graph import AugmentedAdmg, GraphError
 from .identify import HedgeWitness, IdentifyResult, SeparationWitness, is_id, s_id, s_recover
 from .parser import ParseError, parse_graph
@@ -135,8 +136,12 @@ def identify_cmd(graph_path, treatment, outcome, mode, fmt, use_unicode) -> int:
 def verify_cmd(graph_path, treatment, outcome, trials, domain_size, seed, min_prob, demo) -> int:
     """Cross-check an estimand against exact randomized models."""
     if demo:
-        if graph_path or treatment or outcome:
-            raise click.ClickException("--demo takes no --graph, --treatment or --outcome")
+        ctx = click.get_current_context()
+        given = [p.opts[0] for p in ctx.command.params if p.name != "demo"
+                 and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE]
+        if given:
+            raise click.ClickException(f"--demo takes no --graph, --treatment or --outcome, "
+                                       f"nor any other option; got {', '.join(given)}")
         return _run_demo()
     if not graph_path:
         raise click.ClickException("--graph is required (or use --demo)")
@@ -163,7 +168,7 @@ def verify_cmd(graph_path, treatment, outcome, trials, domain_size, seed, min_pr
 
 
 def _run_demo() -> int:
-    from .oracle import demo_model
+    from .oracle import demo_model, evaluate
 
     scm = demo_model()
     g = scm.graph

@@ -10,11 +10,12 @@ An estimand is a finite tree built from five node kinds:
 * ``One()``             -- multiplicative unit.
 
 Variables name graph vertices and range over finite integer domains supplied
-by the probability table at evaluation time.  Binding follows standard
-innermost-wins scoping: an inner ``SumOver`` may reuse a name bound further
-out, and the inner binding shadows the outer one.  The identification
-algorithms produce such shadowing naturally (a component factor marginalizes
-internally over variables that the surrounding assembly sums again).
+by the probability table that :func:`subid.oracle.evaluate` reads.  Binding
+follows standard innermost-wins scoping: an inner ``SumOver`` may reuse a name
+bound further out, and the inner binding shadows the outer one.  The
+identification algorithms produce such shadowing naturally (a component factor
+marginalizes internally over variables that the surrounding assembly sums
+again).
 
 Construction goes through the lowercase helpers (:func:`prob`,
 :func:`sum_over`, :func:`product`, :func:`quotient`), which canonicalize:
@@ -35,32 +36,28 @@ partners are looked up in indexes keyed by the stored labels (or only the
 node type), never by rendering or hashing subtrees.  A component factor of
 ``qs_decompose`` has one ratio per maximal run of positions; maximal runs
 never cancel, so its ratios are only sorted, without the telescope search.
-Every walk over a tree uses an explicit stack, so free variables, evaluation,
-text, latex and the JSON object work at any depth; latex streams left to
-right like text and holds no subtree strings.  Only JSON text, which the
-``json`` module writes and reads recursively, and :func:`estimand_from_dict`
-raise ``ValueError`` for trees nested deeper than the interpreter stack allows.
+Every walk over a tree uses an explicit stack, so free variables, text, latex
+and the JSON object work at any depth; latex streams left to right like text
+and holds no subtree strings.  Only JSON text, which the ``json`` module
+writes and reads recursively, and :func:`estimand_from_dict` raise
+``ValueError`` for trees nested deeper than the interpreter stack allows.
 
-The module imports no other module of the package at run time: the graph
-questions of the factor steps are asked in :mod:`subid.identify`, which hands
-``_component_builder`` each topological order.
+The module is symbolic only and imports neither numpy nor any other module
+of the package: the graph questions of the factor steps are asked in
+:mod:`subid.identify`, which hands ``_component_builder`` each topological
+order, and estimands are evaluated on probability tables in :mod:`subid.oracle`.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextlib
-import functools
 import itertools
 import json
-import numbers
 import operator
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from typing import TYPE_CHECKING, Union
-
-if TYPE_CHECKING:
-    from .oracle import ProbabilityTable
+from typing import Union
 
 __all__ = [
     "Prob",
@@ -70,13 +67,11 @@ __all__ = [
     "One",
     "ONE",
     "Estimand",
-    "PositivityError",
     "prob",
     "sum_over",
     "product",
     "quotient",
     "free_vars",
-    "evaluate",
     "render",
     "to_json",
     "from_json",
@@ -84,10 +79,6 @@ __all__ = [
     "estimand_from_dict",
     "QsFactor",
 ]
-
-
-class PositivityError(ValueError):
-    """A conditional or quotient was evaluated against a zero denominator."""
 
 
 @dataclass(frozen=True)
@@ -403,135 +394,18 @@ def _children(node: Estimand) -> tuple[Estimand, ...]:
     return ()
 
 
-def _free_map(root: Estimand) -> dict[int, tuple[str, ...]]:
-    fmap: dict[int, tuple[str, ...]] = {}
-    for node in _postorder(root):
+def free_vars(e: Estimand) -> tuple[str, ...]:
+    """Sorted names that must be assigned before ``e`` can be evaluated."""
+    fmap: dict[int, set[str]] = {}
+    for node in _postorder(e):
         if isinstance(node, Prob):
             fv = set(node.of) | set(node.given)
         else:  # the children's, less what a sum binds
             fv = set().union(*(fmap[id(c)] for c in _children(node)))
             if isinstance(node, SumOver):
                 fv -= set(node.over)
-        fmap[id(node)] = tuple(sorted(fv))
-    return fmap
-
-
-def free_vars(e: Estimand) -> tuple[str, ...]:
-    """Sorted names that must be assigned before ``e`` can be evaluated."""
-    return _free_map(e)[id(e)]
-
-
-# -- evaluation ---------------------------------------------------------------
-
-
-def _check_value(name: str, value: object, size: int) -> None:
-    """Refuse a value of ``name`` that is not an integer (bools excluded) in range(size)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < size:
-        raise ValueError(
-            f"value of {name!r} must be an integer in range({size}); {value!r} is out of range"
-        )
-
-
-def _tabulate(e: Estimand, table: ProbabilityTable) -> dict[int, tuple]:
-    """Every subtree of ``e`` at every cell of ``table``: ``{id(node): (values, zero)}``.
-
-    ``values`` has one axis per table variable, of size 1 where the subtree
-    does not depend on it, so broadcasting does the joins and no array
-    outgrows the table.  ``zero`` is False or marks the cells that need a zero
-    conditioning event or denominator; those cells hold no meaningful value.
-    """
-    import numpy as np
-
-    axis = {v: i for i, v in enumerate(table.variables)}
-    memo: dict[int, tuple] = {}
-
-    def axes(names: Iterable[str]) -> tuple[int, ...]:
-        unknown = [v for v in names if v not in axis]
-        if unknown:
-            raise ValueError(f"table has no variable {unknown[0]!r}")
-        return tuple(axis[v] for v in names)
-
-    def divide(num, den):
-        return num / den, False if den.all() else den == 0.0
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # masked cells only
-        for node in _postorder(e):
-            if isinstance(node, Prob):
-                axes(node.of + node.given)
-                val, zero = table.marginal_array(tuple(sorted(node.of + node.given))), False
-                if node.given:
-                    val, zero = divide(val, table.marginal_array(node.given))
-            elif isinstance(node, SumOver):
-                body, zero = memo[id(node.body)]
-                over = dict(zip(node.over, axes(node.over)))
-                summed = tuple(i for i in over.values() if body.shape[i] > 1)
-                val = body.sum(axis=summed, keepdims=True) if summed else body
-                if zero is not False and summed:
-                    zero = zero.any(axis=summed, keepdims=True)
-                for v, i in over.items():  # bound but unused: counts its domain size
-                    if body.shape[i] == 1:
-                        val = val * table.domain_size(v)
-            elif isinstance(node, Product):
-                parts = [memo[id(f)] for f in node.factors]
-                val = functools.reduce(np.multiply, [p[0] for p in parts])
-                zero = functools.reduce(operator.or_, [p[1] for p in parts])
-            elif isinstance(node, Quotient):
-                (num, num_zero), (den, den_zero) = memo[id(node.num)], memo[id(node.den)]
-                val, hit = divide(num, den)
-                zero = num_zero | den_zero | hit
-            else:
-                val, zero = np.ones((1,) * len(axis)), False
-            memo[id(node)] = (val, zero)
-    return memo
-
-
-def evaluate(
-    e: Estimand, table: ProbabilityTable, fixed: Mapping[str, int] | None = None
-) -> float:
-    """Evaluate ``e`` on a table of P(V | S=1) at the assignment ``fixed``.
-
-    ``fixed`` gives every free variable of ``e`` an integer in its domain
-    (other entries are ignored).  The whole estimand is tabulated over the
-    table's cells at once and the requested cell is read off.
-
-    Raises :class:`PositivityError` when that cell depends on a conditioning
-    event or denominator of probability zero, and ``ValueError`` for a
-    missing or invalid value or a variable the table does not have.
-    """
-    env = dict(fixed or {})
-    fmap = _free_map(e)
-    missing = [v for v in fmap[id(e)] if v not in env]
-    if missing:
-        raise ValueError(f"no value given for free variables: {', '.join(missing)}")
-    memo = _tabulate(e, table)
-    for v in fmap[id(e)]:
-        _check_value(v, env[v], table.domain_size(v))
-
-    def at(arr, env: dict[str, int]):  # size-1 axes read index 0
-        return arr[tuple(env[v] if k > 1 else 0 for v, k in zip(table.variables, arr.shape))]
-
-    def masked(node: Estimand, env: dict[str, int]) -> bool:
-        zero = memo[id(node)][1]
-        return zero is not False and bool(at(zero, env))
-
-    if not masked(e, env):
-        return float(at(memo[id(e)][0], env))
-    node = e  # descend to the first zero denominator met when the tree is read in order
-    while True:
-        if isinstance(node, Prob):
-            cond = {v: env[v] for v in node.given}
-            raise PositivityError(f"conditioning event has probability zero: {cond}")
-        if isinstance(node, SumOver):
-            combos = itertools.product(*(range(table.domain_size(v)) for v in node.over))
-            inners = ({**env, **dict(zip(node.over, c))} for c in combos)
-            node, env = node.body, next(i for i in inners if masked(node.body, i))
-        elif isinstance(node, Product):
-            node = next(f for f in node.factors if masked(f, env))
-        elif not masked(node.den, env) and at(memo[id(node.den)][0], env) == 0.0:
-            den_env = {v: env[v] for v in fmap[id(node.den)]}
-            raise PositivityError(f"denominator evaluates to zero at {den_env}")
-        else:
-            node = node.den if masked(node.den, env) else node.num
+        fmap[id(node)] = fv
+    return tuple(sorted(fmap[id(e)]))
 
 
 # -- rendering ----------------------------------------------------------------

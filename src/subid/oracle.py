@@ -1,4 +1,10 @@
-"""Exact finite-domain structural causal models for verifying estimands.
+"""Everything numeric: probability tables, estimand evaluation, exact models.
+
+The only module of the package that imports numpy, loaded on the first use of
+one of its names.  A :class:`ProbabilityTable` holds a joint distribution with
+one sorted axis per variable; :func:`evaluate` tabulates an estimand over all
+of a table's cells at once (size-1 axes broadcast) and raises
+:class:`PositivityError` where the requested cell needs a zero denominator.
 
 A :class:`DiscreteScm` realizes an augmented graph: every bidirected edge
 becomes one explicit latent variable with two children, every vertex gets a
@@ -20,28 +26,24 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 from collections.abc import Collection, Iterable, Mapping
 
 import numpy as np
 
-from .estimand import PositivityError, _check_value, _names, _tabulate, render
+from . import _ORACLE as __all__  # the names the package serves lazily, written once
+from .estimand import (Estimand, Prob, Product, Quotient, SumOver, _names, _postorder,
+                       free_vars, render)
 from .graph import AugmentedAdmg, GraphError
 from .identify import s_id
 from .parser import parse_graph
 
-# served lazily by the package: subid/__init__.py's _ORACLE mirrors this list
-__all__ = [
-    "ProbabilityTable",
-    "DiscreteScm",
-    "latent_name",
-    "random_scm",
-    "demo_model",
-    "demo_graph_text",
-    "verify",
-]
-
 # exact joints only: refuse state spaces past this many cells
 MAX_STATES = 2**24
+
+
+class PositivityError(ValueError):
+    """A conditional or quotient was evaluated against a zero denominator."""
 
 
 class ProbabilityTable:
@@ -125,6 +127,120 @@ class ProbabilityTable:
         return ProbabilityTable(names, shape, arr, normalized=False)
 
 
+# -- evaluation ---------------------------------------------------------------
+
+
+def _check_value(name: str, value: object, size: int) -> None:
+    """Refuse a value of ``name`` that is not an integer (bools excluded) in range(size)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < size:
+        raise ValueError(
+            f"value of {name!r} must be an integer in range({size}); {value!r} is out of range"
+        )
+
+
+def _tabulate(e: Estimand, table: ProbabilityTable) -> dict[int, tuple]:
+    """Every subtree of ``e`` at every cell of ``table``: ``{id(node): (values, zero)}``.
+
+    ``values`` has one axis per table variable, of size 1 where the subtree
+    does not depend on it, so broadcasting does the joins and no array
+    outgrows the table.  ``zero`` is False or marks the cells that need a zero
+    conditioning event or denominator; those cells hold no meaningful value.
+    """
+    axis = {v: i for i, v in enumerate(table.variables)}
+    memo: dict[int, tuple] = {}
+
+    def axes(names: Iterable[str]) -> tuple[int, ...]:
+        unknown = [v for v in names if v not in axis]
+        if unknown:
+            raise ValueError(f"table has no variable {unknown[0]!r}")
+        return tuple(axis[v] for v in names)
+
+    def divide(num, den):
+        return num / den, False if den.all() else den == 0.0
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked cells only
+        for node in _postorder(e):
+            if isinstance(node, Prob):
+                axes(node.of + node.given)
+                val, zero = table.marginal_array(tuple(sorted(node.of + node.given))), False
+                if node.given:
+                    val, zero = divide(val, table.marginal_array(node.given))
+            elif isinstance(node, SumOver):
+                body, zero = memo[id(node.body)]
+                over = dict(zip(node.over, axes(node.over)))
+                summed = tuple(i for i in over.values() if body.shape[i] > 1)
+                val = body.sum(axis=summed, keepdims=True) if summed else body
+                if zero is not False and summed:
+                    zero = zero.any(axis=summed, keepdims=True)
+                for v, i in over.items():  # bound but unused: counts its domain size
+                    if body.shape[i] == 1:
+                        val = val * table.domain_size(v)
+            elif isinstance(node, Product):
+                parts = [memo[id(f)] for f in node.factors]
+                val = functools.reduce(np.multiply, [p[0] for p in parts])
+                zero = functools.reduce(operator.or_, [p[1] for p in parts])
+            elif isinstance(node, Quotient):
+                (num, num_zero), (den, den_zero) = memo[id(node.num)], memo[id(node.den)]
+                val, hit = divide(num, den)
+                zero = num_zero | den_zero | hit
+            else:
+                val, zero = np.ones((1,) * len(axis)), False
+            memo[id(node)] = (val, zero)
+    return memo
+
+
+def evaluate(
+    e: Estimand, table: ProbabilityTable, fixed: Mapping[str, int] | None = None
+) -> float:
+    """Evaluate ``e`` on a table of P(V | S=1) at the assignment ``fixed``.
+
+    ``fixed`` gives every free variable of ``e`` an integer in its domain
+    (other entries are ignored).  The whole estimand is tabulated over the
+    table's cells at once and the requested cell is read off.
+
+    Raises :class:`PositivityError` when that cell depends on a conditioning
+    event or denominator of probability zero, and ``ValueError`` for a
+    missing or invalid value or a variable the table does not have.
+    """
+    env = dict(fixed or {})
+    free = free_vars(e)
+    missing = [v for v in free if v not in env]
+    if missing:
+        raise ValueError(f"no value given for free variables: {', '.join(missing)}")
+    memo = _tabulate(e, table)
+    for v in free:
+        _check_value(v, env[v], table.domain_size(v))
+
+    def at(arr, env: dict[str, int]):  # size-1 axes read index 0
+        return arr[tuple(env[v] if k > 1 else 0 for v, k in zip(table.variables, arr.shape))]
+
+    def masked(node: Estimand, env: dict[str, int]) -> bool:
+        zero = memo[id(node)][1]
+        return zero is not False and bool(at(zero, env))
+
+    if not masked(e, env):
+        return float(at(memo[id(e)][0], env))
+    node = e  # descend to the first zero denominator met when the tree is read in order
+    while True:
+        if isinstance(node, Prob):
+            cond = {v: env[v] for v in node.given}
+            raise PositivityError(f"conditioning event has probability zero: {cond}")
+        if isinstance(node, SumOver):
+            combos = itertools.product(*(range(table.domain_size(v)) for v in node.over))
+            inners = ({**env, **dict(zip(node.over, c))} for c in combos)
+            node, env = node.body, next(i for i in inners if masked(node.body, i))
+        elif isinstance(node, Product):
+            node = next(f for f in node.factors if masked(f, env))
+        elif not masked(node.den, env) and at(memo[id(node.den)][0], env) == 0.0:
+            den_env = {v: env[v] for v in free_vars(node.den)}
+            raise PositivityError(f"denominator evaluates to zero at {den_env}")
+        else:
+            node = node.den if masked(node.den, env) else node.num
+
+
+# -- models -------------------------------------------------------------------
+
+
 def latent_name(u: str, v: str) -> str:
     """Canonical latent variable name for the bidirected edge between u and v."""
     a, b = sorted((u, v))
@@ -173,6 +289,9 @@ class DiscreteScm:
         per parent, parents sorted by name (directed parents plus the latents
         of incident bidirected edges; latents have no parents), and a final
         axis for the variable itself.  Rows must sum to 1.
+
+    A key of ``domains`` or ``cpts`` that names no vertex or latent of the
+    model raises ``ValueError``.
     """
 
     def __init__(
@@ -182,6 +301,13 @@ class DiscreteScm:
         cpts: Mapping[str, np.ndarray],
     ):
         self._layout(graph, domains)
+        for what, given in (("domain size", domains), ("conditional table", cpts)):
+            unknown = [k for k in given if k not in self._sizes]
+            if unknown:
+                raise ValueError(
+                    f"{what} given for {unknown[0]!r}, which is not a model variable; "
+                    f"the latents are {', '.join(self._latents) or 'none'}"
+                )
         self._cpts: dict[str, np.ndarray] = {}
         for name in self._names:
             try:

@@ -215,6 +215,17 @@ def test_verify_demo_takes_no_query(capsys, query):
     assert "--demo takes no --graph, --treatment or --outcome" in err
 
 
+@pytest.mark.parametrize(
+    "option", [["--trials", "0"], ["--min-prob", "nan"], ["--domain-size", "1"], ["--seed", "-1"]],
+    ids=lambda option: option[0],
+)
+def test_verify_demo_takes_no_other_option(capsys, option):
+    code, out, err = run(capsys, "verify", "--demo", *option)
+    assert (code, out) == (1, "")
+    assert "--demo takes no --graph, --treatment or --outcome, nor any other option" in err
+    assert err.rstrip().endswith(f"got {option[0]}")
+
+
 def test_verify_demo(capsys):
     code, out, _ = run(capsys, "verify", "--demo")
     assert code == 0
@@ -273,6 +284,15 @@ def test_oracle_names_are_served_by_the_package():
     namespace = {}
     exec("from subid import *", namespace)
     assert all(namespace[name] is getattr(subid, name) for name in subid.__all__)
+
+
+def test_numeric_names_come_from_the_oracle():
+    import subid.oracle
+
+    for name in ("evaluate", "PositivityError", "ProbabilityTable"):
+        assert getattr(subid, name) is getattr(subid.oracle, name)
+        assert getattr(subid, name).__module__ == "subid.oracle"
+        assert not hasattr(subid.estimand, name)
 
 
 def test_package_names_are_the_layers_lists():

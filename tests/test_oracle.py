@@ -230,6 +230,22 @@ def test_scm_validates_tables(medication):
         DiscreteScm(medication, domains, cpts)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [({"domains": {"Z~X": 3}}, "domain size given for 'Z~X'"),
+     ({"cpts": {"Q": np.array([0.5, 0.5])}}, "conditional table given for 'Q'")],
+    ids=["misnamed-latent", "unknown-table"],
+)
+def test_scm_refuses_keys_that_name_no_model_variable(medication, extra, message):
+    # the X-Z latent is X~Z: a misspelt key would leave it silently binary
+    good = random_scm(medication, seed=0)
+    domains = {**{v: 2 for v in medication.vertices}, **extra.get("domains", {})}
+    cpts = {**good._cpts, **extra.get("cpts", {})}
+    with pytest.raises(ValueError, match=f"{message}, which is not a model variable; "
+                                         "the latents are S~Y, X~Z"):
+        DiscreteScm(medication, domains, cpts)
+
+
 def test_scm_selection_forced_binary(medication):
     scm = random_scm(medication, domain_size=3, seed=0)
     assert scm.domain_size("S") == 2
