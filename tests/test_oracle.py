@@ -1,7 +1,9 @@
 """The exact-SCM oracle: probability tables, model construction, the demo
 model's closed-form numbers, and the estimand verification loop."""
 
+import itertools
 import json
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import subid.oracle
 from subid import (
     AugmentedAdmg,
     DiscreteScm,
@@ -24,7 +27,14 @@ from subid import (
     verify,
 )
 
-from helpers import iter_assignments, random_admg, random_scm_reference
+from conftest import GRAPH_DIR
+from helpers import iter_assignments, random_admg, random_query, random_scm_reference
+
+
+def _selected_effect(scm, x, y):
+    """The model's effect and P(V | S=1) arrays, its tables as a batch of one trial."""
+    effect, obs = scm._selected_effect({n: t[None] for n, t in scm._cpts.items()}, x, y)
+    return effect[0], obs[0]
 
 
 # -- probability tables ----------------------------------------------------------
@@ -246,6 +256,17 @@ def test_scm_refuses_keys_that_name_no_model_variable(medication, extra, message
         DiscreteScm(medication, domains, cpts)
 
 
+@pytest.mark.parametrize("size", [3, 1, "x", None, True, 2.0], ids=repr)
+def test_scm_refuses_a_selection_domain_other_than_two(medication, size):
+    good = random_scm(medication, seed=0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"domain of 'S' must be 2, the selection vertex is binary; got {size!r}")):
+        DiscreteScm(medication, {**_binary(medication), "S": size}, good._cpts)
+    for two in (2, np.int64(2)):
+        scm = DiscreteScm(medication, {**_binary(medication), "S": two}, good._cpts)
+        assert scm.domain_size("S") == 2 and type(scm.domain_size("S")) is int
+
+
 def test_scm_selection_forced_binary(medication):
     scm = random_scm(medication, domain_size=3, seed=0)
     assert scm.domain_size("S") == 2
@@ -452,8 +473,8 @@ def test_selected_slice_equals_the_full_joint_conditioned_by_hand():
         assert obs.variables == names
         np.testing.assert_allclose(obs.values, want, rtol=0, atol=1e-12)
 
-        effect, effect_obs = scm._selected_effect(x, y)
-        np.testing.assert_allclose(effect_obs.values, want, rtol=0, atol=1e-12)
+        effect, effect_obs = _selected_effect(scm, x, y)
+        np.testing.assert_allclose(effect_obs, want, rtol=0, atol=1e-12)
         keep = sorted(set(x) | set(y))
         for values in np.ndindex(*map(scm.domain_size, x)):
             do = dict(zip(x, values))
@@ -529,11 +550,11 @@ def test_random_scm_matches_the_model_rebuilt_from_its_tables(hedges, medication
             names = (*g.vertices, *scm.latents)
             tables = {n: t.copy() for n, t in scm._cpts.items()}
             rebuilt = DiscreteScm(g, {n: scm.domain_size(n) for n in names}, tables)
-            effect, obs = scm._selected_effect(x, y)
-            want_effect, want_obs = rebuilt._selected_effect(x, y)
+            effect, obs = _selected_effect(scm, x, y)
+            want_effect, want_obs = _selected_effect(rebuilt, x, y)
             assert np.array_equal(effect, want_effect)
-            assert obs.variables == want_obs.variables
-            assert np.array_equal(obs.values, want_obs.values)
+            assert obs.shape == want_obs.shape
+            assert np.array_equal(obs, want_obs)
 
 
 def test_random_scm_rejects_bad_parameters(medication):
@@ -666,16 +687,80 @@ def test_min_prob_accepts_any_real_number(medication, min_prob):
     )
 
 
-def test_verify_trials_match_models_drawn_one_by_one(hedges):
-    # the model is laid out once per call; each trial's tables are random_scm's
-    report = verify(hedges, ["X2"], ["Y2"], trials=4, domain_size=3, min_prob=0.1, seed=7)
-    est = s_id(hedges, ["X2"], ["Y2"]).estimand
-    for trial in report["per_trial"]:
-        scm = random_scm(hedges, 3, 0.1, trial["seed"])
-        effect, obs = scm._selected_effect(("X2",), ("Y2",))
-        pinned = dict.fromkeys(hedges.observed, 0)
-        errors = [
-            abs(evaluate(est, obs, {**pinned, "X2": a, "Y2": b}) - effect[a, b])
-            for a, b in np.ndindex(effect.shape)
-        ]
-        assert trial["error"] == max(errors)
+def _verify_cases():
+    """The example graphs' identifiable one-vertex queries, then random ADMGs' queries."""
+    for path in sorted(GRAPH_DIR.glob("*.g")):
+        g = parse_graph(path.read_text()).graph
+        if g.selection is not None:
+            for x, y in itertools.permutations(g.observed, 2):
+                if s_id(g, [x], [y]).identifiable:
+                    yield g, (x,), (y,)
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        g = random_admg(rng, n_obs=int(rng.integers(2, 5)))
+        x, y = random_query(rng, g)
+        if s_id(g, x, y).identifiable:
+            yield g, x, y
+
+
+def _error_of_one_model(g, x, y, domain_size, min_prob, seed):
+    """verify's error for the model ``random_scm`` draws from ``seed``, by public ``evaluate``
+    at every treatment/outcome cell (other vertices pinned to 0)."""
+    scm = random_scm(g, domain_size, min_prob, seed)
+    effect, obs = _selected_effect(scm, x, y)
+    table = ProbabilityTable(g.observed, obs.shape, obs)
+    est = s_id(g, x, y).estimand
+    keep = sorted(set(x) | set(y))
+    pinned = dict.fromkeys(g.observed, 0)
+    errors = []
+    for cell in np.ndindex(*(domain_size for _ in keep)):
+        # a treatment axis that nothing reads has size 1: the effect does not depend on it
+        at = tuple(v if k > 1 else 0 for v, k in zip(cell, effect.shape))
+        errors.append(abs(evaluate(est, table, {**pinned, **dict(zip(keep, cell))}) - effect[at]))
+    return max(errors)
+
+
+def test_verify_trials_match_models_drawn_one_by_one():
+    # all trials are drawn, multiplied and tabulated at once; each must give
+    # the same bits as its own model built by random_scm and read by evaluate
+    cases = list(_verify_cases())
+    assert len(cases) >= 20
+    for g, x, y in cases:
+        for domain_size in (2, 3):
+            one_by_one = {}
+            for trials in (1, 2, 20):
+                report = verify(g, x, y, trials=trials, domain_size=domain_size,
+                                min_prob=0.1, seed=7)
+                assert [t["seed"] for t in report["per_trial"]] == list(range(7, 7 + trials))
+                for trial in report["per_trial"]:
+                    seed = trial["seed"]
+                    if seed not in one_by_one:
+                        one_by_one[seed] = _error_of_one_model(g, x, y, domain_size, 0.1, seed)
+                    assert trial["error"] == one_by_one[seed], (g, x, y, domain_size, seed)
+                assert report["max_abs_error"] == max(t["error"] for t in report["per_trial"])
+
+
+@pytest.mark.parametrize("chunk, sizes", [(1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1])])
+def test_verify_chunks_trials_under_the_state_cap(hedges, medication, monkeypatch, chunk, sizes):
+    for g, x, y in ((hedges, ["X2"], ["Y2"]), (medication, ["X"], ["Y"])):
+        whole = verify(g, x, y, trials=7, domain_size=3, seed=5)
+        scm = random_scm(g, 3)
+        cells = math.prod(map(scm.domain_size, (*g.vertices, *scm.latents)))
+        drawn = []
+
+        def draw(scm, min_prob, seeds, real=subid.oracle._draw):
+            drawn.append(list(seeds))
+            return real(scm, min_prob, drawn[-1])
+
+        with monkeypatch.context() as m:
+            m.setattr(subid.oracle, "MAX_STATES", chunk * cells)
+            m.setattr(subid.oracle, "_draw", draw)
+            assert verify(g, x, y, trials=7, domain_size=3, seed=5) == whole
+            assert [len(seeds) for seeds in drawn] == sizes
+            assert [s for seeds in drawn for s in seeds] == list(range(5, 12))
+            # one cell fewer than the model: refused before any table is drawn
+            m.setattr(subid.oracle, "MAX_STATES", cells - 1)
+            drawn.clear()
+            with pytest.raises(ValueError, match="state space exceeds"):
+                verify(g, x, y, trials=7, domain_size=3, seed=5)
+            assert drawn == []
