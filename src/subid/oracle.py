@@ -2,11 +2,12 @@
 
 The only module of the package that imports numpy, loaded on the first use of
 one of its names.  A :class:`ProbabilityTable` holds a joint distribution with
-one sorted axis per variable; :func:`evaluate` tabulates an estimand over all
-of a table's cells at once (size-1 axes broadcast) and raises
-:class:`PositivityError` where the requested cell needs a zero denominator.
-Internally every array carries a leading trial axis, so the same tabulation
-serves one table or a batch of them.
+one sorted axis per variable, copied and read-only; :func:`evaluate` tabulates
+an estimand over all of a table's cells at once (size-1 axes broadcast) and
+raises :class:`PositivityError` where the requested cell needs a zero
+denominator.  The tabulation reads one array with a leading trial axis and
+sums each marginal it needs from it, so it serves one table (a batch of one)
+or a stack of them alike.
 
 A :class:`DiscreteScm` realizes an augmented graph: every bidirected edge
 becomes one explicit latent variable with two children, every vertex gets a
@@ -33,7 +34,7 @@ import itertools
 import math
 import numbers
 import operator
-from collections.abc import Callable, Collection, Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -56,8 +57,10 @@ class ProbabilityTable:
     """An exact joint distribution over named finite variables.
 
     Values are a dense numpy array with one axis per variable, variables in
-    sorted order.  ``prob`` returns the marginal probability of a partial
-    assignment (variable name -> integer value); marginal arrays are cached.
+    sorted order, copied from the caller's and read-only, as is every cached
+    marginal array; ``values`` returns a writable copy.  ``prob`` returns the
+    marginal probability of a partial assignment (variable name -> integer
+    value).
     """
 
     __slots__ = ("_variables", "_domains", "_values", "_cache")
@@ -75,12 +78,9 @@ class ProbabilityTable:
             raise ValueError(
                 f"{len(self._variables)} variables but {len(domains)} domain sizes"
             )
-        if not ({*map(type, domains)} <= {int} and min(domains, default=1) >= 1):
-            # a bool, a numpy integer or a bad size: checked, and stored as int, one by one
-            domains = [_integer(f"domain size of {v!r}", k, 1)
-                       for v, k in zip(self._variables, domains)]
-        self._domains = dict(zip(self._variables, domains))
-        arr = np.asarray(values, dtype=float)
+        self._domains = {v: _integer(f"domain size of {v!r}", k, 1)
+                         for v, k in zip(self._variables, domains)}
+        arr = np.array(values, dtype=float)  # a copy the caller cannot change
         if arr.shape != tuple(self._domains[v] for v in self._variables):
             raise ValueError("value array shape does not match the domains")
         total = float(arr.sum())
@@ -90,6 +90,7 @@ class ProbabilityTable:
             raise ValueError("probabilities must be nonnegative")
         if normalized and not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        arr.flags.writeable = False
         self._values = arr
         self._cache: dict[tuple[str, ...], np.ndarray] = {self._variables: arr}
 
@@ -116,6 +117,7 @@ class ProbabilityTable:
                 raise KeyError(f"table has no variable {unknown[0]!r}")
             drop = tuple(i for i, v in enumerate(self._variables) if v not in keep)
             cached = self._values.sum(axis=drop, keepdims=True)
+            cached.flags.writeable = False
             self._cache[keep] = cached
         return cached
 
@@ -144,17 +146,12 @@ def _check_value(name: str, value: object, size: int) -> None:
         )
 
 
-def _tabulate(
-    e: Estimand,
-    variables: tuple[str, ...],
-    domain_size: Callable[[str], int],
-    marginal: Callable[[tuple[str, ...]], np.ndarray],
-) -> dict[int, tuple]:
+def _tabulate(e: Estimand, variables: tuple[str, ...], joint: np.ndarray) -> dict[int, tuple]:
     """Every subtree of ``e`` at every cell of a batch of tables: ``{id(node): (values, zero)}``.
 
-    ``marginal(keep)`` gives the marginal of the sorted names ``keep`` with a
-    leading trial axis, then one axis per name of ``variables``, size 1 off
-    ``keep``; it is asked once per name set.  ``values`` has the same axes, of
+    ``joint`` holds P(V | S=1) of each trial: a leading trial axis, then one
+    axis per name of ``variables``.  Each name set's marginal is summed from
+    it once, size 1 on the dropped axes.  ``values`` has the same axes, of
     size 1 where the subtree does not depend on a variable, so broadcasting
     does the joins and no array outgrows the batch.  ``zero`` is False or
     marks the cells that need a zero conditioning event or denominator; those
@@ -170,9 +167,10 @@ def _tabulate(
             raise ValueError(f"table has no variable {unknown[0]!r}")
         return tuple(axis[v] for v in names)
 
-    def cached(keep: tuple[str, ...]) -> np.ndarray:
+    def marginal(keep: tuple[str, ...]) -> np.ndarray:
         if keep not in marginals:
-            marginals[keep] = marginal(keep)
+            drop = tuple(i for v, i in axis.items() if v not in keep)
+            marginals[keep] = joint.sum(axis=drop, keepdims=True)
         return marginals[keep]
 
     def divide(num, den):
@@ -182,9 +180,9 @@ def _tabulate(
         for node in _postorder(e):
             if isinstance(node, Prob):
                 axes(node.of + node.given)
-                val, zero = cached(tuple(sorted(node.of + node.given))), False
+                val, zero = marginal(tuple(sorted(node.of + node.given))), False
                 if node.given:
-                    val, zero = divide(val, cached(node.given))
+                    val, zero = divide(val, marginal(node.given))
             elif isinstance(node, SumOver):
                 body, zero = memo[id(node.body)]
                 over = dict(zip(node.over, axes(node.over)))
@@ -192,9 +190,9 @@ def _tabulate(
                 val = body.sum(axis=summed, keepdims=True) if summed else body
                 if zero is not False and summed:
                     zero = zero.any(axis=summed, keepdims=True)
-                for v, i in over.items():  # bound but unused: counts its domain size
+                for i in over.values():  # bound but unused: counts its domain size
                     if body.shape[i] == 1:
-                        val = val * domain_size(v)
+                        val = val * joint.shape[i]
             elif isinstance(node, Product):
                 parts = [memo[id(f)] for f in node.factors]
                 val = functools.reduce(np.multiply, [p[0] for p in parts])
@@ -216,19 +214,22 @@ def evaluate(
 
     ``fixed`` gives every free variable of ``e`` an integer in its domain
     (other entries are ignored).  The whole estimand is tabulated over the
-    table's cells at once and the requested cell is read off.
+    table's cells at once, as a batch of one, and the requested cell is read
+    off.
 
     Raises :class:`PositivityError` when that cell depends on a conditioning
-    event or denominator of probability zero, and ``ValueError`` for a
-    missing or invalid value or a variable the table does not have.
+    event or denominator of probability zero, ``ValueError`` for a missing or
+    invalid value or a variable the table does not have, and ``TypeError``
+    when ``table`` is not a :class:`ProbabilityTable`.
     """
+    if not isinstance(table, ProbabilityTable):
+        raise TypeError(f"table must be a ProbabilityTable, got {type(table).__name__}")
     env = dict(fixed or {})
     free = free_vars(e)
     missing = [v for v in free if v not in env]
     if missing:
         raise ValueError(f"no value given for free variables: {', '.join(missing)}")
-    memo = _tabulate(e, table.variables, table.domain_size,
-                     lambda keep: table.marginal_array(keep)[None])
+    memo = _tabulate(e, table.variables, table._values[None])
     for v in free:
         _check_value(v, env[v], table.domain_size(v))
 
@@ -436,11 +437,11 @@ class DiscreteScm:
             out[s] = out[s][self._selected]
         return out
 
-    def _full_joint(
-        self, do: Mapping[str, int] | None = None, selected: bool = False
-    ) -> np.ndarray:
-        """The joint after ``do`` (size 1 on each treatment axis), over both
-        values of S or, with ``selected``, over S=1 alone; one trial."""
+    def _table(
+        self, keep: set[str], do: Mapping[str, int] | None = None, selected: bool = False
+    ) -> ProbabilityTable:
+        """The marginal on ``keep`` of the joint after ``do``, over both values
+        of S or, with ``selected``, of the joint inside S=1 divided by its total."""
         do = dict(do or {})
         observed = set(self.graph.observed)
         for v, val in do.items():
@@ -454,7 +455,9 @@ class DiscreteScm:
             slice(do[n], do[n] + 1) if n in do and k > 1 else slice(None)
             for n, k in zip(self._names, full.shape[1:])
         )
-        return full[(slice(None), *at)]
+        kept = tuple(n for n in self._names if n in keep)
+        values = self._marginal(full[(slice(None), *at)], keep, selected)[0]
+        return ProbabilityTable(kept, tuple(self._sizes[n] for n in kept), values)
 
     def _marginal(self, arr: np.ndarray, keep: set[str], selected: bool) -> np.ndarray:
         """The marginal on ``keep`` of each trial of ``arr``; with ``selected``,
@@ -468,39 +471,29 @@ class DiscreteScm:
             values = values / totals
         return values
 
-    def _table(self, arr: np.ndarray, keep: set[str], selected: bool = False) -> ProbabilityTable:
-        """The marginal on ``keep`` of the one trial of ``arr`` (see :meth:`_marginal`)."""
-        kept = tuple(n for n in self._names if n in keep)
-        values = self._marginal(arr, keep, selected)[0]
-        return ProbabilityTable(kept, tuple(self._sizes[n] for n in kept), values)
-
     def latent_joint(self) -> ProbabilityTable:
         """Exact joint over every variable, latents and selection included."""
-        return self._table(self._full_joint(), set(self._names))
+        return self._table(set(self._names))
 
     def joint(self) -> ProbabilityTable:
         """Exact joint over the observed vertices and the selection vertex."""
-        return self._table(self._full_joint(), set(self.graph.vertices))
+        return self._table(set(self.graph.vertices))
 
     def observational_s(self) -> ProbabilityTable:
         """P(V | S=1): the observational distribution of the sub-population."""
-        keep = set(self.graph.observed)
-        return self._table(self._full_joint(selected=True), keep, selected=True)
+        return self._table(set(self.graph.observed), selected=True)
 
     def interventional_joint(self, do: Mapping[str, int]) -> ProbabilityTable:
         """Post-intervention joint over the untouched vertices plus selection."""
-        keep = (set(self.graph.vertices)) - set(do)
-        return self._table(self._full_joint(do), keep)
+        return self._table(set(self.graph.vertices) - set(do), do)
 
     def interventional_s(self, do: Mapping[str, int]) -> ProbabilityTable:
         """Post-intervention distribution inside the selected sub-population."""
-        keep = set(self.graph.observed) - set(do)
-        return self._table(self._full_joint(do, selected=True), keep, selected=True)
+        return self._table(set(self.graph.observed) - set(do), do, selected=True)
 
     def interventional_population(self, do: Mapping[str, int]) -> ProbabilityTable:
         """Post-intervention distribution of the whole population."""
-        keep = set(self.graph.observed) - set(do)
-        return self._table(self._full_joint(do), keep)
+        return self._table(set(self.graph.observed) - set(do), do)
 
     def _selected_effect(
         self, cpts: Mapping[str, np.ndarray], treatment: tuple[str, ...], outcome: tuple[str, ...]
@@ -692,12 +685,7 @@ def verify(
     for start in range(seed, seed + trials, chunk):
         cpts = _draw(scm, min_prob, range(start, min(start + chunk, seed + trials)))
         effect, obs = scm._selected_effect(cpts, x, y)
-
-        def marginal(keep: tuple[str, ...]) -> np.ndarray:
-            return obs.sum(axis=tuple(i for i, v in enumerate(names, 1) if v not in keep),
-                           keepdims=True)
-
-        values, zero = _tabulate(est, names, scm.domain_size, marginal)[id(est)]
+        values, zero = _tabulate(est, names, obs)[id(est)]
         if zero is not False and zero[cell].any():
             raise PositivityError("the estimand meets a zero denominator")
         errors += np.abs(values[cell] - effect).reshape(len(effect), -1).max(axis=1).tolist()

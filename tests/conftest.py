@@ -11,10 +11,12 @@ GRAPH_DIR = ROOT / "graphs"
 # README read the example outputs from here only.
 GOLDEN_DIR = ROOT / "tests" / "golden" / "cli"
 GOLDEN_CLI = sorted(GOLDEN_DIR.glob("*.txt"))
+# the same for ``subid verify`` calls, whose reports pin the oracle's numbers
+GOLDEN_VERIFY = sorted((ROOT / "tests" / "golden" / "verify").glob("*.txt"))
 
 
 def read_golden(path):
-    """A golden CLI file as (arguments after ``subid``, exit status, stdout)."""
+    """A golden file as (arguments after ``subid``, exit status, stdout)."""
     command, status, stdout = path.read_bytes().decode("utf-8").split("\n", 2)
     return command.split()[2:], int(status.removeprefix("# exit ")), stdout
 

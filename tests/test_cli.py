@@ -13,7 +13,7 @@ import pytest
 import subid
 from subid.cli import identify_cmd, main
 
-from conftest import GOLDEN_CLI, GOLDEN_DIR, GRAPH_DIR, ROOT, read_golden
+from conftest import GOLDEN_CLI, GOLDEN_DIR, GOLDEN_VERIFY, GRAPH_DIR, ROOT, read_golden
 
 MEDICATION = str(GRAPH_DIR / "medication.g")
 HEDGES = str(GRAPH_DIR / "hedges.g")
@@ -26,12 +26,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("path", GOLDEN_CLI, ids=lambda path: path.stem)
-def test_identify_matches_golden(capsys, monkeypatch, path):
+def assert_golden(capsys, monkeypatch, path):
+    """Run the golden file's command from the repository root; stdout must match byte for byte."""
     argv, _, _ = read_golden(path)
     monkeypatch.chdir(ROOT)
     code, out, _ = run(capsys, *argv)
     assert f"$ subid {' '.join(argv)}\n# exit {code}\n{out}".encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize("path", GOLDEN_CLI, ids=lambda path: path.stem)
+def test_identify_matches_golden(capsys, monkeypatch, path):
+    assert_golden(capsys, monkeypatch, path)
+
+
+@pytest.mark.parametrize("path", GOLDEN_VERIFY, ids=lambda path: path.stem)
+def test_verify_matches_golden(capsys, monkeypatch, path):
+    assert_golden(capsys, monkeypatch, path)
 
 
 def test_readme_identify_examples_are_golden():

@@ -153,5 +153,13 @@ def test_shrink_search_matches_brute_force_existence():
     assert s_checked >= 100 and c_checked >= 300
 
 
+def test_find_hedge_refuses_an_outcome_that_is_not_one_c_component(id_classic):
+    with pytest.raises(GraphError, match="^outcome must be nonempty$"):
+        find_hedge(id_classic, [])
+    # Y1 and X1 are joined only through Y2, so alone they are two c-components
+    with pytest.raises(GraphError, match=r"^outcome \{X1, Y1\} is not a single c-component$"):
+        find_hedge(id_classic, ["Y1", "X1"])
+
+
 def test_hedge_search_deterministic(hedges):
     assert s_id(hedges, ["X1"], ["Y1", "Y2"]) == s_id(hedges, ["X1"], ["Y1", "Y2"])

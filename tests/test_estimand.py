@@ -596,24 +596,36 @@ def test_evaluate_memoizes_subtrees():
     assert counting.calls == 4
 
 
-class MarginalLog:
-    """A table that records the marginals ``evaluate`` asks for."""
-
-    def __init__(self, inner):
-        self.inner, self.keeps = inner, []
-        self.variables, self.domain_size = inner.variables, inner.domain_size
-
-    def marginal_array(self, keep):
-        self.keeps.append(keep)
-        return self.inner.marginal_array(keep)
-
-
 def test_evaluate_tabulates_a_shared_subtree_once():
-    table = MarginalLog(TABLE)
+    log = []
+
+    class SumLog(np.ndarray):
+        """Logs the axes of each sum taken of it or of an array computed from it."""
+
+        def sum(self, axis=None, **kwargs):
+            log.append(axis)
+            return super().sum(axis=axis, **kwargs)
+
+    table = ProbabilityTable(TABLE.variables, (2, 2), TABLE.values)
+    table._values = table._values.view(SumLog)
     p = prob(["A"], ["B"])
-    e = quotient(sum_over(["A"], p), p)  # the same object twice
-    assert evaluate(e, table, {"A": 0, "B": 0}) == pytest.approx(4.0)  # 1 / (0.1 / 0.4)
-    assert table.keeps == [("A", "B"), ("B",)]
+    s = sum_over(["A"], p)
+    e = quotient(product([s, prob(["B"])]), s)  # the same sum object twice
+    assert evaluate(e, table, {"B": 0}) == pytest.approx(0.4)  # P(B=0) * 1 / 1
+    # the product puts P(B) first: the marginal of {B} (A's axis dropped),
+    # then of {A, B} (none dropped), each summed once although P(A|B) asks
+    # for {B} again; then one sum over A, although its subtree appears twice
+    assert log == [(1,), (), (1,)]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [None, {"A": 0.5}, np.array([[0.1, 0.2], [0.3, 0.4]])],
+    ids=["none", "dict", "ndarray"],
+)
+def test_evaluate_refuses_a_table_that_is_not_a_probability_table(table):
+    with pytest.raises(TypeError, match="^table must be a ProbabilityTable, got "):
+        evaluate(prob(["A"]), table, {"A": 0})
 
 
 # -- tensor evaluation against the scalar cross-check ---------------------------

@@ -16,6 +16,7 @@ from subid import (
     AugmentedAdmg,
     DiscreteScm,
     GraphError,
+    PositivityError,
     ProbabilityTable,
     demo_graph_text,
     demo_model,
@@ -173,6 +174,23 @@ def test_table_values_returns_a_copy():
     assert t.prob({"A": 0}) == pytest.approx(0.4)
 
 
+def test_table_copies_the_array_it_is_given():
+    a = np.array([[0.1, 0.2], [0.3, 0.4]])
+    t = ProbabilityTable(("A", "B"), (2, 2), a)
+    a[0, 0] = 5.0
+    assert t.prob({"A": 0, "B": 0}) == pytest.approx(0.1)
+
+
+def test_table_marginal_arrays_are_read_only():
+    t = ProbabilityTable(("A", "B"), (2, 2), np.array([[0.1, 0.2], [0.3, 0.4]]))
+    for keep in (("A", "B"), ("A",), ()):  # the first is the stored array itself
+        with pytest.raises(ValueError, match="read-only"):
+            t.marginal_array(keep)[0, 0] = 5.0
+    assert t.prob({"A": 0, "B": 0}) == pytest.approx(0.1)
+    assert t.prob({"A": 0}) == pytest.approx(0.3)
+    assert t.values.flags.writeable
+
+
 def test_latent_name_is_order_insensitive():
     assert latent_name("B", "A") == latent_name("A", "B") == "A~B"
 
@@ -238,6 +256,19 @@ def test_scm_validates_tables(medication):
     cpts["X"] = np.array([[0.9, 0.2], [0.5, 0.5]])
     with pytest.raises(ValueError, match="do not sum to 1"):
         DiscreteScm(medication, domains, cpts)
+    cpts["X"] = np.array([[1.2, -0.2], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="table for 'X' has negative entries"):
+        DiscreteScm(medication, domains, cpts)
+
+
+def test_selected_distributions_refuse_a_selection_that_never_happens(medication):
+    cpts = dict(random_scm(medication, seed=0)._cpts)
+    cpts["S"] = np.zeros_like(cpts["S"])
+    cpts["S"][..., 0] = 1.0  # S=0 always
+    scm = DiscreteScm(medication, {v: 2 for v in medication.vertices}, cpts)
+    for distribution in (scm.observational_s, lambda: scm.interventional_s({"X": 0})):
+        with pytest.raises(PositivityError, match="selected sub-population has probability zero"):
+            distribution()
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,8 @@ def test_medication_examples(medication):
 def test_empty_sides_are_separated(medication):
     assert m_separated(medication, [], ["Y"])
     assert m_separated(medication, ["X"], [])
+    assert m_separated_bruteforce(medication, [], ["Y"])
+    assert m_separated_bruteforce(medication, ["X"], [], ["Z"])
 
 
 def test_overlap_rejected(medication):
