@@ -169,6 +169,12 @@ def sid_separation(
     return _separation_witness(g, x, y, set(g.split_by_selection()[0])) is None
 
 
+def _require_factor(factor: object) -> None:
+    """Refuse anything but a :class:`QsFactor` with ``TypeError``."""
+    if not isinstance(factor, QsFactor):
+        raise TypeError(f"factor must be a QsFactor, got {type(factor).__name__}")
+
+
 def qs_base(g: AugmentedAdmg) -> QsFactor:
     """The factor of the full non-ancestral part: plain observation.
 
@@ -184,8 +190,10 @@ def qs_marginalize(g: AugmentedAdmg, factor: QsFactor, to: Iterable[str]) -> QsF
 
     Marginalizing a post-intervention factor is only valid when the target is
     closed under taking parents within the factor's scope; a non-ancestral
-    target raises :class:`GraphError`.
+    target raises :class:`GraphError`, and a ``factor`` that is not a
+    :class:`QsFactor` ``TypeError``.
     """
+    _require_factor(factor)
     target = g.vertex_set(to)
     if not set(target) < set(factor.scope):
         raise GraphError(
@@ -216,7 +224,9 @@ def qs_decompose(g: AugmentedAdmg, factor: QsFactor) -> list[QsFactor]:
     members, which telescopes to one P_b / P_{a-1} per maximal run a..b of
     consecutive member positions.  Only those marginals are built, once for all
     components, so a single-component scope returns the input expression unchanged.
+    A ``factor`` that is not a :class:`QsFactor` raises ``TypeError``.
     """
+    _require_factor(factor)
     build = _component_builder(g.topological_order(factor.scope), factor)
     return [build(comp) for comp in s_components(g, factor.scope)]
 
@@ -241,8 +251,10 @@ def s_id_single(
     ``component`` must be a single s-component contained in ``factor.scope``,
     itself a single s-component.  Returns the component's factor, or None,
     building nothing, when the shrinking recursion gets stuck (the stuck scope
-    is then an s-hedge for the component).
+    is then an s-hedge for the component).  A ``factor`` that is not a
+    :class:`QsFactor` raises ``TypeError``.
     """
+    _require_factor(factor)
     c = g.vertex_set(component)
     t = factor.scope
     if not set(c) <= set(t):

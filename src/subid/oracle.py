@@ -42,7 +42,7 @@ from . import _ORACLE as __all__  # the names the package serves lazily, written
 from .estimand import (Estimand, Prob, Product, Quotient, SumOver, _names, _postorder,
                        free_vars, render)
 from .graph import AugmentedAdmg, GraphError
-from .identify import s_id
+from .identify import _query_sets, _s_id
 from .parser import parse_graph
 
 # exact joints only: refuse state spaces past this many cells
@@ -57,13 +57,13 @@ class ProbabilityTable:
     """An exact joint distribution over named finite variables.
 
     Values are a dense numpy array with one axis per variable, variables in
-    sorted order, copied from the caller's and read-only, as is every cached
-    marginal array; ``values`` returns a writable copy.  ``prob`` returns the
-    marginal probability of a partial assignment (variable name -> integer
-    value).
+    sorted order, copied from the caller's and read-only; ``values`` returns a
+    writable copy.  Nothing is cached: ``marginal_array`` sums a fresh
+    read-only array on every call.  ``prob`` returns the marginal probability
+    of a partial assignment, a mapping of variable name -> integer value.
     """
 
-    __slots__ = ("_variables", "_domains", "_values", "_cache")
+    __slots__ = ("_variables", "_domains", "_values")
 
     def __init__(self, variables, domains, values, *, normalized: bool = True):
         self._variables = _names(variables, "variables", canonical=False)
@@ -92,7 +92,6 @@ class ProbabilityTable:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         arr.flags.writeable = False
         self._values = arr
-        self._cache: dict[tuple[str, ...], np.ndarray] = {self._variables: arr}
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -108,31 +107,34 @@ class ProbabilityTable:
     def values(self) -> np.ndarray:
         return self._values.copy()
 
-    def marginal_array(self, keep: tuple[str, ...]) -> np.ndarray:
-        """Marginal of the sorted names ``keep``, size 1 on other axes; cached, read-only."""
-        cached = self._cache.get(keep)
-        if cached is None:
-            unknown = [v for v in keep if v not in self._domains]
-            if unknown:
-                raise KeyError(f"table has no variable {unknown[0]!r}")
-            drop = tuple(i for i, v in enumerate(self._variables) if v not in keep)
-            cached = self._values.sum(axis=drop, keepdims=True)
-            cached.flags.writeable = False
-            self._cache[keep] = cached
-        return cached
+    def marginal_array(self, keep: Iterable[str]) -> np.ndarray:
+        """Marginal of the names ``keep``, read as :meth:`marginal` reads them,
+        size 1 on the other axes; a fresh read-only array."""
+        keep = _names(keep, "kept variables")
+        unknown = [v for v in keep if v not in self._domains]
+        if unknown:
+            raise KeyError(f"table has no variable {unknown[0]!r}")
+        drop = tuple(i for i, v in enumerate(self._variables) if v not in keep)
+        arr = self._values.sum(axis=drop, keepdims=True)
+        arr.flags.writeable = False
+        return arr
 
     def prob(self, assignment: Mapping[str, int]) -> float:
         """Marginal probability that the named variables take these values."""
+        if not isinstance(assignment, Mapping):
+            raise ValueError(
+                f"assignment must be a mapping of names to values, got {assignment!r}"
+            )
         for v, val in assignment.items():
             _check_value(v, val, self.domain_size(v))
-        arr = self.marginal_array(tuple(sorted(assignment)))
+        arr = self.marginal_array(assignment)
         return float(arr[tuple(assignment.get(v, 0) for v in self._variables)])
 
     def marginal(self, keep: Iterable[str]) -> "ProbabilityTable":
         names = _names(keep, "kept variables")
-        shape = tuple(map(self.domain_size, names))
-        arr = self.marginal_array(names).reshape(shape)
-        return ProbabilityTable(names, shape, arr, normalized=False)
+        arr = self.marginal_array(names)
+        shape = tuple(self._domains[v] for v in names)
+        return ProbabilityTable(names, shape, arr.reshape(shape), normalized=False)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -218,13 +220,16 @@ def evaluate(
     off.
 
     Raises :class:`PositivityError` when that cell depends on a conditioning
-    event or denominator of probability zero, ``ValueError`` for a missing or
-    invalid value or a variable the table does not have, and ``TypeError``
-    when ``table`` is not a :class:`ProbabilityTable`.
+    event or denominator of probability zero, ``ValueError`` for a ``fixed``
+    that is not a mapping, a missing or invalid value or a variable the table
+    does not have, and ``TypeError`` when ``table`` is not a
+    :class:`ProbabilityTable`.
     """
     if not isinstance(table, ProbabilityTable):
         raise TypeError(f"table must be a ProbabilityTable, got {type(table).__name__}")
-    env = dict(fixed or {})
+    env = {} if fixed is None else fixed
+    if not isinstance(env, Mapping):
+        raise ValueError(f"fixed must be a mapping of names to values, got {fixed!r}")
     free = free_vars(e)
     missing = [v for v in free if v not in env]
     if missing:
@@ -313,8 +318,8 @@ class DiscreteScm:
         of incident bidirected edges; latents have no parents), and a final
         axis for the variable itself.  Rows must sum to 1.
 
-    A key of ``domains`` or ``cpts`` that names no vertex or latent of the
-    model raises ``ValueError``.
+    A ``domains`` or ``cpts`` that is not a mapping, or a key of either that
+    names no vertex or latent of the model, raises ``ValueError``.
     """
 
     def __init__(
@@ -323,6 +328,9 @@ class DiscreteScm:
         domains: Mapping[str, int],
         cpts: Mapping[str, np.ndarray],
     ):
+        for what, given in (("domains", domains), ("cpts", cpts)):
+            if not isinstance(given, Mapping):
+                raise ValueError(f"{what} must be a mapping of names, got {given!r}")
         self._layout(graph, domains)
         for what, given in (("domain size", domains), ("conditional table", cpts)):
             unknown = [k for k in given if k not in self._sizes]
@@ -350,12 +358,10 @@ class DiscreteScm:
                 raise ValueError(f"rows of the table for {name!r} do not sum to 1")
             self._cpts[name] = arr
 
-    def _layout(
-        self, graph: AugmentedAdmg, domains: Mapping[str, int], latent_size: int = 2
-    ) -> None:
+    def _layout(self, graph: AugmentedAdmg, domains: Mapping[str, int]) -> None:
         """Every structural check, then sizes, sorted names, parents and each
         table's layout; no table is read, so :func:`random_scm` runs this
-        before drawing.  Latents missing from ``domains`` get ``latent_size``."""
+        before drawing.  Latents missing from ``domains`` are binary."""
         if graph.selection is None:
             raise GraphError("an SCM requires a graph with a selection vertex")
         self.graph = graph
@@ -379,7 +385,7 @@ class DiscreteScm:
                 raise ValueError(f"missing domain size for {v!r}")
             sizes[v] = 2 if v == s else _integer(f"domain of {v!r}", domains[v], 2)
         for l in self._latents:
-            sizes[l] = _integer(f"domain of {l!r}", domains.get(l, latent_size), 2)
+            sizes[l] = _integer(f"domain of {l!r}", domains.get(l, 2), 2)
         self._sizes = sizes
         self._names = tuple(sorted(sizes))
         if math.prod(sizes.values()) > MAX_STATES:
@@ -438,16 +444,21 @@ class DiscreteScm:
         return out
 
     def _table(
-        self, keep: set[str], do: Mapping[str, int] | None = None, selected: bool = False
+        self, base: Iterable[str], do: Mapping[str, int], selected: bool = False
     ) -> ProbabilityTable:
-        """The marginal on ``keep`` of the joint after ``do``, over both values
-        of S or, with ``selected``, of the joint inside S=1 divided by its total."""
-        do = dict(do or {})
+        """The marginal on the variables of ``base`` outside ``do`` of the joint
+        after ``do``, over both values of S or, with ``selected``, of the joint
+        inside S=1 divided by its total.  The one reader of ``do``: one that is
+        not a mapping or holds a value out of its domain raises ``ValueError``,
+        and a key that is no observed vertex :class:`GraphError`."""
+        if not isinstance(do, Mapping):
+            raise ValueError(f"do must be a mapping of vertices to values, got {do!r}")
         observed = set(self.graph.observed)
         for v, val in do.items():
             if v not in observed:
                 raise GraphError(f"cannot intervene on {v!r}")
             _check_value(v, val, self._sizes[v])
+        keep = set(base) - set(do)
         stack = {name: table[None] for name, table in self._cpts.items()}
         full = _product(self._factors(stack, selected), do)
         # a treatment axis that no remaining CPT reads has size 1 already
@@ -473,27 +484,27 @@ class DiscreteScm:
 
     def latent_joint(self) -> ProbabilityTable:
         """Exact joint over every variable, latents and selection included."""
-        return self._table(set(self._names))
+        return self._table(self._names, {})
 
     def joint(self) -> ProbabilityTable:
         """Exact joint over the observed vertices and the selection vertex."""
-        return self._table(set(self.graph.vertices))
+        return self._table(self.graph.vertices, {})
 
     def observational_s(self) -> ProbabilityTable:
         """P(V | S=1): the observational distribution of the sub-population."""
-        return self._table(set(self.graph.observed), selected=True)
+        return self._table(self.graph.observed, {}, selected=True)
 
     def interventional_joint(self, do: Mapping[str, int]) -> ProbabilityTable:
         """Post-intervention joint over the untouched vertices plus selection."""
-        return self._table(set(self.graph.vertices) - set(do), do)
+        return self._table(self.graph.vertices, do)
 
     def interventional_s(self, do: Mapping[str, int]) -> ProbabilityTable:
         """Post-intervention distribution inside the selected sub-population."""
-        return self._table(set(self.graph.observed) - set(do), do, selected=True)
+        return self._table(self.graph.observed, do, selected=True)
 
     def interventional_population(self, do: Mapping[str, int]) -> ProbabilityTable:
         """Post-intervention distribution of the whole population."""
-        return self._table(set(self.graph.observed) - set(do), do)
+        return self._table(self.graph.observed, do)
 
     def _selected_effect(
         self, cpts: Mapping[str, np.ndarray], treatment: tuple[str, ...], outcome: tuple[str, ...]
@@ -545,10 +556,12 @@ def random_scm(
 
 
 def _laid_out(g: AugmentedAdmg, domain_size: int) -> DiscreteScm:
-    """A model of ``g`` with every variable of ``domain_size`` values, laid
-    out but with no tables yet: those drawn by :func:`_draw` need no re-check."""
+    """A model of ``g`` with every observed vertex and latent of ``domain_size``
+    values, laid out with no tables yet: those drawn by :func:`_draw` need no
+    re-check."""
+    latents = [latent_name(u, v) for u, v in g.bidirected_edges]
     scm = DiscreteScm.__new__(DiscreteScm)
-    scm._layout(g, dict.fromkeys(g.observed, domain_size), domain_size)
+    scm._layout(g, dict.fromkeys([*g.observed, *latents], domain_size))
     return scm
 
 
@@ -650,6 +663,7 @@ def verify(
 ) -> dict:
     """Identify, then check the estimand against exact random models.
 
+    The query is checked once, as :func:`~subid.identify.s_id` checks it.
     Trial ``t`` is the random positive SCM ``random_scm(g, domain_size,
     min_prob, seed + t)``.  All trials are done in one array pass: their
     tables are drawn and stacked on a leading trial axis, one truncated
@@ -666,9 +680,8 @@ def verify(
     domain_size = _integer("domain_size", domain_size, 2)
     seed = _integer("seed", seed, 0)
     min_prob = _min_prob(min_prob, domain_size)
-    x = g.vertex_set(treatment)
-    y = g.vertex_set(outcome)
-    result = s_id(g, x, y)
+    x, y = _query_sets(g, treatment, outcome)
+    result = _s_id(g, x, y)
     report: dict = {"query": {"treatment": list(x), "outcome": list(y)}, **result.to_dict(),
                     "trials": 0, "max_abs_error": None, "per_trial": []}
     if not result.identifiable:

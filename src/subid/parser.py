@@ -60,8 +60,11 @@ def parse_graph(text: str) -> GraphDocument:
 
     Raises :class:`ParseError` for syntax problems (with line and column) and
     :class:`~subid.graph.GraphError` / :class:`~subid.graph.CycleError` for
-    structural ones (cycles, a selection vertex with children).
+    structural ones (cycles, a selection vertex with children), and
+    ``TypeError`` when ``text`` is not a ``str``.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, got {type(text).__name__}")
     nodes: set[str] = set()
     directed: list[tuple[str, str]] = []
     bidirected: list[tuple[str, str]] = []
@@ -111,7 +114,12 @@ def parse_graph(text: str) -> GraphDocument:
 
 
 def serialize_graph(g: AugmentedAdmg) -> str:
-    """Canonical text for a graph; ``parse_graph`` returns an equal graph."""
+    """Canonical text for a graph; ``parse_graph`` returns an equal graph.
+
+    Raises ``TypeError`` when ``g`` is not an :class:`AugmentedAdmg`.
+    """
+    if not isinstance(g, AugmentedAdmg):
+        raise TypeError(f"graph must be an AugmentedAdmg, got {type(g).__name__}")
     if g.selection is None and "S" in g.vertices:
         # the language has no way to switch the S-by-default rule off
         raise ValueError(

@@ -26,6 +26,7 @@ from subid import (
     product,
     qs_base,
     qs_decompose,
+    qs_marginalize,
     quotient,
     random_scm,
     render,
@@ -137,6 +138,20 @@ def test_s_id_single_detects_stuck_scope(hedges):
     part = next(p for p in parts if p.scope == ("Y1", "Y2"))
     assert s_id_single(hedges, ["Y2"], part) is None
     assert is_s_hedge(hedges, ["Y2"], part.scope)
+
+
+@pytest.mark.parametrize(
+    "step, bad",
+    [
+        (lambda g: qs_marginalize(g, "f", ["Y"]), "str"),
+        (lambda g: qs_decompose(g, None), "NoneType"),
+        (lambda g: s_id_single(g, ["Y"], None), "NoneType"),
+    ],
+    ids=["qs_marginalize", "qs_decompose", "s_id_single"],
+)
+def test_factor_steps_refuse_a_factor_that_is_not_a_qs_factor(recoverability, step, bad):
+    with pytest.raises(TypeError, match=f"^factor must be a QsFactor, got {bad}$"):
+        step(recoverability)
 
 
 def test_s_id_single_two_level_recursion():

@@ -159,6 +159,17 @@ def test_table_marginal_array_refuses_unknown_names():
     assert t.marginal_array(("A",)).tolist() == [[0.5], [0.5]]
 
 
+def test_table_marginal_array_reads_names_as_marginal_does():
+    t = ProbabilityTable(("X", "XY", "Y"), (2, 3, 2), np.arange(12).reshape(2, 3, 2) / 66)
+    with pytest.raises(ValueError, match="must be a collection of names, got the string 'XY'$"):
+        t.marginal_array("XY")
+    for keep in (["X"], ["Y", "X"], ("XY", "X", "XY"), ["Y", "Y"]):
+        arr = t.marginal_array(keep)
+        assert arr.shape == tuple(t.domain_size(v) if v in keep else 1 for v in t.variables)
+        assert np.array_equal(arr.reshape(-1), t.marginal(keep).values.reshape(-1))
+        assert not arr.flags.writeable
+
+
 def test_table_prob_rejects_invalid_values():
     t = ProbabilityTable(("A", "B"), (2, 2), np.array([[0.1, 0.2], [0.3, 0.4]]))
     for bad in (-1, 2, 5, 0.5, True):
@@ -183,7 +194,7 @@ def test_table_copies_the_array_it_is_given():
 
 def test_table_marginal_arrays_are_read_only():
     t = ProbabilityTable(("A", "B"), (2, 2), np.array([[0.1, 0.2], [0.3, 0.4]]))
-    for keep in (("A", "B"), ("A",), ()):  # the first is the stored array itself
+    for keep in (("A", "B"), ("A",), ()):
         with pytest.raises(ValueError, match="read-only"):
             t.marginal_array(keep)[0, 0] = 5.0
     assert t.prob({"A": 0, "B": 0}) == pytest.approx(0.1)

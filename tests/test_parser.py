@@ -125,6 +125,18 @@ def test_serialize_guards_unexpressible_graph():
             serialize_graph(g)
 
 
+@pytest.mark.parametrize("text, name", [(5, "int"), (None, "NoneType"), (b"A -> B", "bytes")])
+def test_parse_refuses_text_that_is_not_a_str(text, name):
+    with pytest.raises(TypeError, match=f"^text must be a str, got {name}$"):
+        parse_graph(text)
+
+
+@pytest.mark.parametrize("graph, name", [(5, "int"), ("A -> B\n", "str")])
+def test_serialize_refuses_anything_but_a_graph(graph, name):
+    with pytest.raises(TypeError, match=f"^graph must be an AugmentedAdmg, got {name}$"):
+        serialize_graph(graph)
+
+
 def test_serialize_selection_last_line():
     g = AugmentedAdmg(["A", "T"], [("A", "T")], selection="T")
     assert serialize_graph(g) == "A -> T\nselect T\n"
