@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import AugmentedAdmg, GraphError
+from .graph import AugmentedAdmg, GraphError, _require_graph
 
 __all__ = [
     "c_components",
@@ -41,6 +41,7 @@ def c_components(
 
     Components are sorted internally and listed by their least member.
     """
+    _require_graph(g)
     return g._components(scope)
 
 
@@ -51,11 +52,13 @@ def s_components(g: AugmentedAdmg, members: Iterable[str]) -> list[tuple[str, ..
     induced subgraph on ``members`` plus every ancestor of the selection
     vertex (selection vertex included).
     """
+    _require_graph(g)
     return g._components(members, selected=True)
 
 
 def is_ancestral(g: AugmentedAdmg, subset: Iterable[str], scope: Iterable[str]) -> bool:
     """True when ``subset`` is closed under taking parents inside ``scope``."""
+    _require_graph(g)
     sub = g.vertex_set(subset)
     return g.ancestors(sub, within=scope) == sub
 
@@ -68,6 +71,7 @@ def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | No
     the fixpoint is the outcome itself exactly when no hedge exists.  The
     returned witness is deterministic but makes no minimality claim.
     """
+    _require_graph(g)
     y = g.vertex_set(outcome)
     if not y:
         raise GraphError("outcome must be nonempty")
@@ -80,6 +84,7 @@ def find_hedge(g: AugmentedAdmg, outcome: Iterable[str]) -> tuple[str, ...] | No
 def _is_hedge_shape(g, outcome, candidate, component_fn) -> bool:
     """Both sets are single components, the outcome strictly inside the
     candidate, and the candidate is the ancestry of the outcome within it."""
+    _require_graph(g)
     y = g.vertex_set(outcome)
     h = g.vertex_set(candidate)
     return (

@@ -36,6 +36,11 @@ partners are looked up in indexes keyed by the stored labels (or only the
 node type), never by rendering or hashing subtrees.  A component factor of
 ``qs_decompose`` has one ratio per maximal run of positions; maximal runs
 never cancel, so its ratios are only sorted, without the telescope search.
+The builder is told which components it will build and keeps the sorted
+suffix of the order (a prefix marginal's bound names) only at their run
+boundaries, walking the order from its end down to the first boundary; a
+query on a sparse graph has few boundaries, so its suffixes no longer hold
+the n^2/2 names of one suffix per position.
 Every walk over a tree uses an explicit stack, so free variables, text, latex
 and the JSON object work at any depth; latex streams left to right like text
 and holds no subtree strings.  Only JSON text, which the ``json`` module
@@ -543,10 +548,16 @@ def to_json(e: Estimand) -> str:
         return json.dumps(estimand_to_dict(e), sort_keys=True, separators=(",", ":"))
 
 
-def from_json(text: str) -> Estimand:
-    """Parse :func:`to_json` output; malformed or too deeply nested text raises ``ValueError``."""
+def from_json(text: str | bytes | bytearray) -> Estimand:
+    """Parse :func:`to_json` output.  Malformed or too deeply nested text, and a
+    ``text`` that is not a ``str``, ``bytes`` or ``bytearray``, raise ``ValueError``."""
     with _nesting_limit():
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except TypeError:
+            raise ValueError(
+                f"text must be a str, bytes or bytearray of JSON, got {type(text).__name__}"
+            ) from None
     return estimand_from_dict(d)
 
 
@@ -591,34 +602,40 @@ class QsFactor:
     expr: Estimand
 
 
-def _component_builder(order: tuple[str, ...], factor: QsFactor) -> Callable[..., QsFactor]:
-    """``qs_decompose``'s factor of one s-component per call; ``order`` orders the scope."""
+def _component_builder(
+    order: tuple[str, ...], factor: QsFactor, comps: Iterable[tuple[str, ...]]
+) -> Callable[[tuple[str, ...]], QsFactor]:
+    """``qs_decompose``'s factor of each s-component in ``comps``, one per call;
+    ``order`` orders the scope.  A component's factor is one ratio
+    P_b / P_{a-1} per maximal run a..b of its positions, so only the prefix
+    marginals at the run boundaries of ``comps`` are built, each once."""
     pos = {v: i for i, v in enumerate(order, start=1)}
+    runs: dict[tuple[str, ...], list[tuple[int, int]]] = {}
+    needed = set()  # a - 1 and b of every run a..b
+    for comp in comps:
+        positions = sorted(map(pos.__getitem__, comp))
+        runs[comp] = spans = []
+        start = positions[0]
+        for prev, p in zip(positions, positions[1:]):
+            if p != prev + 1:  # the run that started at ``start`` ends at ``prev``
+                spans.append((start, prev))
+                needed.update((start - 1, prev))
+                start = p
+        spans.append((start, positions[-1]))
+        needed.update((start - 1, positions[-1]))
+    needed -= {0, len(order)}
     expr = factor.expr  # P_i sums order[i:] out of it as sum_over would, names unchecked
     merged = isinstance(expr, SumOver) and not set(expr.over) & pos.keys()
     tail, body = (sorted(expr.over), expr.body) if merged else ([], expr)
-    suffixes: list[tuple[str, ...]] = [()] * (len(order) + 1)
-    for i in range(len(order) - 1, 0, -1):
-        bisect.insort(tail, order[i])
-        suffixes[i] = tuple(tail)
     marginals: dict[int, Estimand] = {len(order): expr, 0: ONE}
-
-    def prefix(i: int) -> Estimand:  # built once: runs that meet share their boundary
-        if i not in marginals:
-            marginals[i] = SumOver(suffixes[i], body)
-        return marginals[i]
-
-    def ratio(a: int, b: int) -> Estimand:  # P_b / P_{a-1}, the factor of the run a..b
-        return prefix(b) if a == 1 else Quotient(prefix(b), prefix(a - 1))
+    for i in range(len(order) - 1, min(needed, default=len(order)) - 1, -1):
+        bisect.insort(tail, order[i])
+        if i in needed:  # runs that meet share their boundary
+            marginals[i] = SumOver(tuple(tail), body)
 
     def build(comp: tuple[str, ...]) -> QsFactor:
-        positions = sorted(pos[v] for v in comp)
-        ratios, start = [], positions[0]
-        for prev, p in zip(positions, positions[1:]):
-            if p != prev + 1:  # the run that started at ``start`` ends at ``prev``
-                ratios.append(ratio(start, prev))
-                start = p
-        ratios.append(ratio(start, positions[-1]))
+        ratios = [marginals[b] if a == 1 else Quotient(marginals[b], marginals[a - 1])
+                  for a, b in runs[comp]]  # P_b / P_{a-1}, the factor of the run a..b
         if len(ratios) == 1:
             return QsFactor(comp, ratios[0])
         # two ratios could only cancel across adjacent runs, and maximal runs

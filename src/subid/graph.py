@@ -14,10 +14,14 @@ in sorted-name order and a vertex set is an int bitmask (bit ``i`` for the
 set bits, read low to high, are a sorted name tuple, and the lowest is the
 least name.  Names are converted only at the public boundary (``_mask``,
 ``_names_of``), and a mask is decoded to names in one pass at C level (its
-binary digits select the names).  Only this module reads the masks: the
-component floods, the enclosing s-component, the hedge scope loop and the
-m-connection walk that the other modules need are private methods here that
-take and return names, and trust their arguments.
+binary digits select the names).  Only this module reads the masks.  The
+other modules call private methods here that take and return names and
+trust their arguments: the component floods, the hedge scope loop, the
+m-connection walk, a model's adjacency lists, and ``s_id``'s whole graph
+side (:meth:`AugmentedAdmg._s_id_plan`), which reads a query's names once,
+runs its ancestry, component, scope-loop and ordering steps on masks and
+decodes each answer once.  :func:`_require_graph` is the type door of every
+public function that takes a graph.
 """
 
 from __future__ import annotations
@@ -26,6 +30,14 @@ import itertools
 from typing import Iterable
 
 __all__ = ["AugmentedAdmg", "GraphError", "CycleError"]
+
+
+def _require_graph(g: object) -> None:
+    """Refuse anything but an :class:`AugmentedAdmg` with ``TypeError`` naming
+    its type; what ``parse_graph`` returns gets a hint to pass its ``.graph``."""
+    if not isinstance(g, AugmentedAdmg):
+        hint = "; pass its .graph" if isinstance(getattr(g, "graph", None), AugmentedAdmg) else ""
+        raise TypeError(f"graph must be an AugmentedAdmg, got {type(g).__name__}{hint}")
 
 
 class GraphError(ValueError):
@@ -179,6 +191,13 @@ class AugmentedAdmg:
     def siblings(self, vertex: str) -> tuple[str, ...]:
         """Vertices joined to ``vertex`` by a bidirected edge."""
         return self._names_of(self._sib[self._mask([vertex]).bit_length() - 1])
+
+    def _adjacency(self) -> list[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+        """Each vertex, in name order, with its directed parents and its
+        bidirected partners, both sorted: a model's layout in one read."""
+        names_of = self._names_of
+        return [(v, names_of(p) if p else (), names_of(s) if s else ())
+                for v, p, s in zip(self._vertices, self._pa, self._sib)]
 
     # -- vertex-set operations ---------------------------------------------
 
@@ -356,26 +375,54 @@ class AugmentedAdmg:
         is the flood through the selection ancestry, traced on ``pool``."""
         return self._flood(seed, pool | self._sel_anc if selected else pool, self._sib) & pool
 
-    def _enclosing(self, c) -> tuple[str, ...]:
-        """The s-component holding ``c`` of every observed vertex outside the
-        selection ancestry: one flood from the least member of ``c``."""
-        c = self._mask(c)
-        return self._names_of(self._component(c & -c, self._all & ~self._sel_anc, True))
-
     def _narrow(self, c, pool=None, selected=False):
         """Shrink the scope ``pool`` (default all), which holds the component ``c``,
         to the component holding ``c`` of the ancestry of ``c`` within it, until
         that changes nothing.  Returns the last scope, ``c`` or else a hedge (with
         ``selected`` an s-hedge), and each change as (ancestry, component) names;
         each ancestry is ancestral within the scope before it."""
-        c, steps = self._mask(c), []
-        t = self._all if pool is None else self._mask(pool)
+        c = self._mask(c)
+        last, steps = self._shrink(c, self._all if pool is None else self._mask(pool), selected)
+        return self._names_of(last), steps
+
+    def _shrink(self, c: int, t: int, selected: bool):
+        """:meth:`_narrow` on the masks ``c`` and ``t``: the last scope's mask and
+        the steps, decoded."""
+        names_of, steps = self._names_of, []
         while True:
             anc = self._flood(c, t, self._pa)
             part = c if anc == c else self._component(c & -c, anc, selected)
             if part == t:
-                return self._names_of(t), [(self._names_of(a), self._names_of(p)) for a, p in steps]
-            steps.append((anc, t := part))
+                return t, steps
+            steps.append((names_of(anc), names_of(t := part)))
+
+    def _s_id_plan(self, x, y):
+        """The graph side of ``s_id`` on a checked query ``x``, ``y`` (names),
+        on masks from end to end and decoded once.
+
+        D is the ancestry of the outcome's non-ancestral part (outside the
+        selection ancestry) within that part less ``x``.  Each s-component of D,
+        least member first, gets its enclosing s-component (of the whole
+        non-ancestral part) and :meth:`_narrow`'s steps from there.  Returns
+        ``(d, plans, stuck, order)``: ``plans`` lists ``(component, enclosing,
+        steps)``; ``stuck`` is None, or ``(component, scope)`` for the first
+        component whose scope loop got stuck (an s-hedge), where the plans end
+        and ``order`` is None; else ``order`` is the topological order of the
+        non-ancestral part."""
+        names_of = self._names_of
+        outside = self._all & ~self._sel_anc
+        d = self._flood(self._mask(y) & outside, outside & ~self._mask(x), self._pa)
+        plans, pool = [], d
+        while pool:
+            comp = self._component(pool & -pool, pool, True)
+            pool ^= comp
+            t = self._component(comp & -comp, outside, True)
+            last, steps = self._shrink(comp, t, True)
+            if last != comp:
+                return names_of(d), plans, (names_of(comp), names_of(last)), None
+            plans.append((names_of(comp), names_of(t), steps))
+        names = self._vertices
+        return names_of(d), plans, None, tuple([names[i] for i in self._order(outside)])
 
     def _m_connected(self, first, second, conditioning) -> bool:
         """Whether a path that ``conditioning`` leaves open joins the first two

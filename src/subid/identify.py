@@ -12,11 +12,16 @@ Failures carry machine-checkable witnesses: either an m-separation test that
 the query fails after edge surgery, or an s-hedge.  A separation failure is
 definitive; a hedge failure means "not identified by this algorithm".
 
-Public functions validate their arguments once; the steps inside them do
-not re-validate the sets they build.  They call the graph's private
-name-in, name-out methods (the enclosing s-component, the scope loop, the
-m-connection walk) and sum each factor to an ancestry that the scope loop
-returned, so it is ancestral by construction.
+Public functions validate their arguments once, the graph included (a
+non-graph raises ``TypeError``); the steps inside them do not re-validate
+the sets they build.  They call the graph's private name-in, name-out
+methods: ``s_id`` hands its checked query to ``AugmentedAdmg._s_id_plan``,
+which does the whole graph side on masks (the outcome's ancestry D, its
+s-components, each one's enclosing s-component and scope loop, the order of
+the non-ancestral part) and decodes each answer once; ``s_id_single``,
+``is_id`` and the separation checks call the scope loop and the
+m-connection walk.  Each factor is summed to an ancestry that the scope
+loop returned, so it is ancestral by construction.
 
 The module owns the graph side of the factor steps (``qs_*``), whose
 expressions :mod:`subid.estimand` builds, and a verdict's JSON form, which the
@@ -25,14 +30,13 @@ CLI and ``verify`` both print.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
 from .components import c_components, is_ancestral, s_components
 from .estimand import (Estimand, QsFactor, _component_builder, estimand_to_dict, prob,
                        product, sum_over)
-from .graph import AugmentedAdmg, GraphError
+from .graph import AugmentedAdmg, GraphError, _require_graph
 
 __all__ = [
     "IdentifyResult",
@@ -112,7 +116,9 @@ class IdentifyResult:
 def _disjoint_sets(
     g: AugmentedAdmg, treatment: Iterable[str], outcome: Iterable[str]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Treatment and outcome as vertex sets: the outcome nonempty, the two disjoint."""
+    """Treatment and outcome as vertex sets of the graph ``g``: the outcome
+    nonempty, the two disjoint.  The type door of every query."""
+    _require_graph(g)
     x = g.vertex_set(treatment)
     y = g.vertex_set(outcome)
     if not y:
@@ -181,6 +187,7 @@ def qs_base(g: AugmentedAdmg) -> QsFactor:
     Its expression is P(non-ancestral part | selection ancestry, S=1); with an
     empty non-ancestral part the expression is the constant 1.
     """
+    _require_graph(g)
     anc, non_anc = g.split_by_selection()
     return QsFactor(non_anc, prob(non_anc, anc))
 
@@ -193,6 +200,7 @@ def qs_marginalize(g: AugmentedAdmg, factor: QsFactor, to: Iterable[str]) -> QsF
     target raises :class:`GraphError`, and a ``factor`` that is not a
     :class:`QsFactor` ``TypeError``.
     """
+    _require_graph(g)
     _require_factor(factor)
     target = g.vertex_set(to)
     if not set(target) < set(factor.scope):
@@ -226,9 +234,11 @@ def qs_decompose(g: AugmentedAdmg, factor: QsFactor) -> list[QsFactor]:
     components, so a single-component scope returns the input expression unchanged.
     A ``factor`` that is not a :class:`QsFactor` raises ``TypeError``.
     """
+    _require_graph(g)
     _require_factor(factor)
-    build = _component_builder(g.topological_order(factor.scope), factor)
-    return [build(comp) for comp in s_components(g, factor.scope)]
+    comps = s_components(g, factor.scope)
+    build = _component_builder(g.topological_order(factor.scope), factor, comps)
+    return [build(comp) for comp in comps]
 
 
 def _replay(g: AugmentedAdmg, factor: QsFactor, steps) -> QsFactor:
@@ -239,7 +249,7 @@ def _replay(g: AugmentedAdmg, factor: QsFactor, steps) -> QsFactor:
     for anc, part in steps:
         factor = _summed(factor, anc)
         if part != anc:
-            factor = _component_builder(g.topological_order(anc), factor)(part)
+            factor = _component_builder(g.topological_order(anc), factor, [part])(part)
     return factor
 
 
@@ -254,6 +264,7 @@ def s_id_single(
     is then an s-hedge for the component).  A ``factor`` that is not a
     :class:`QsFactor` raises ``TypeError``.
     """
+    _require_graph(g)
     _require_factor(factor)
     c = g.vertex_set(component)
     t = factor.scope
@@ -289,27 +300,23 @@ def s_id(
 def _s_id(g: AugmentedAdmg, x: tuple[str, ...], y: tuple[str, ...]) -> IdentifyResult:
     """:func:`s_id` on a query already validated by :func:`_query_sets`."""
     anc_t, non_anc_t = g.split_by_selection()
-    anc, non_anc = set(anc_t), set(non_anc_t)
+    anc = set(anc_t)
     witness = _separation_witness(g, x, y, anc)
     if witness is not None:
         return IdentifyResult("fail", witness=witness)
 
-    yn = tuple(v for v in y if v in non_anc)
-    d = g.ancestors(yn, within=non_anc - set(x))
-    plans = []  # every component is decided before any factor is built
-    for comp in s_components(g, d):
-        t = g._enclosing(comp)
-        last, steps = g._narrow(comp, t, selected=True)
-        if last != comp:
-            return IdentifyResult("fail", witness=HedgeWitness(comp, last))
-        plans.append((t, steps))
+    # every component is decided before any factor is built
+    d, plans, stuck, order = g._s_id_plan(x, y)
+    if stuck is not None:
+        return IdentifyResult("fail", witness=HedgeWitness(*stuck))
     base = QsFactor(non_anc_t, prob(non_anc_t, anc_t))  # qs_base(g), from the split above
-    order = g.topological_order(non_anc_t)
-    build = functools.cache(_component_builder(order, base))  # each enclosing factor at most once
-    parts = [_replay(g, build(t), steps) for t, steps in plans]
+    scopes = dict.fromkeys(t for _, t, _ in plans)  # each enclosing factor once
+    build = _component_builder(order, base, scopes)
+    enclosing = {t: build(t) for t in scopes}
+    parts = [_replay(g, enclosing[t], steps) for _, t, steps in plans]
 
     outer_prob = prob(anc - set(x), anc & set(x))
-    inner = sum_over(set(d) - set(yn), product(p.expr for p in parts))
+    inner = sum_over(set(d) - set(y), product(p.expr for p in parts))
     est = sum_over(anc - set(x) - set(y), product([outer_prob, inner]))
     return IdentifyResult("identifiable", estimand=est)
 

@@ -29,6 +29,7 @@ the bits its own model, drawn alone, would give.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -41,7 +42,7 @@ import numpy as np
 from . import _ORACLE as __all__  # the names the package serves lazily, written once
 from .estimand import (Estimand, Prob, Product, Quotient, SumOver, _names, _postorder,
                        free_vars, render)
-from .graph import AugmentedAdmg, GraphError
+from .graph import AugmentedAdmg, GraphError, _require_graph
 from .identify import _query_sets, _s_id
 from .parser import parse_graph
 
@@ -78,7 +79,7 @@ class ProbabilityTable:
             raise ValueError(
                 f"{len(self._variables)} variables but {len(domains)} domain sizes"
             )
-        self._domains = {v: _integer(f"domain size of {v!r}", k, 1)
+        self._domains = {v: _integer("domain size of", k, 1, v)
                          for v, k in zip(self._variables, domains)}
         arr = np.array(values, dtype=float)  # a copy the caller cannot change
         if arr.shape != tuple(self._domains[v] for v in self._variables):
@@ -274,30 +275,18 @@ def latent_name(u: str, v: str) -> str:
     return f"{a}~{b}"
 
 
-def _integer(what: str, value: object, least: int) -> int:
-    """``value`` as an int; refuse bools, non-integers and values below ``least``."""
+def _integer(what: str, value: object, least: int, name: object = None) -> int:
+    """``value`` as an int; refuse bools, non-integers and values below ``least``.
+    A refusal names ``what``, followed by ``name`` (repr) when one is given."""
+    if type(value) is int and value >= least:  # the common case, no message built
+        return value
+    if name is not None:
+        what = f"{what} {name!r}"
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{what} must be at least {least}, got {value!r}")
     return int(value)
-
-
-def _parent_map(
-    g: AugmentedAdmg, edges: tuple[tuple[str, str], ...]
-) -> dict[str, tuple[str, ...]]:
-    """Sorted parents of every model variable: directed parents plus the
-    latents of the bidirected ``edges``; latents have none."""
-    out: dict[str, tuple[str, ...]] = {}
-    latents: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for edge in edges:
-        name = latent_name(*edge)
-        out[name] = ()
-        for end in edge:
-            latents[end].append(name)
-    for v in g.vertices:
-        out[v] = tuple(sorted(set(g.parents(v)) | set(latents[v])))
-    return out
 
 
 class DiscreteScm:
@@ -318,7 +307,8 @@ class DiscreteScm:
         of incident bidirected edges; latents have no parents), and a final
         axis for the variable itself.  Rows must sum to 1.
 
-    A ``domains`` or ``cpts`` that is not a mapping, or a key of either that
+    A ``graph`` that is not an :class:`AugmentedAdmg` raises ``TypeError``; a
+    ``domains`` or ``cpts`` that is not a mapping, or a key of either that
     names no vertex or latent of the model, raises ``ValueError``.
     """
 
@@ -328,10 +318,12 @@ class DiscreteScm:
         domains: Mapping[str, int],
         cpts: Mapping[str, np.ndarray],
     ):
+        _require_graph(graph)
         for what, given in (("domains", domains), ("cpts", cpts)):
             if not isinstance(given, Mapping):
                 raise ValueError(f"{what} must be a mapping of names, got {given!r}")
-        self._layout(graph, domains)
+        self._layout(graph)
+        self._size(domains)
         for what, given in (("domain size", domains), ("conditional table", cpts)):
             unknown = [k for k in given if k not in self._sizes]
             if unknown:
@@ -358,56 +350,78 @@ class DiscreteScm:
                 raise ValueError(f"rows of the table for {name!r} do not sum to 1")
             self._cpts[name] = arr
 
-    def _layout(self, graph: AugmentedAdmg, domains: Mapping[str, int]) -> None:
-        """Every structural check, then sizes, sorted names, parents and each
-        table's layout; no table is read, so :func:`random_scm` runs this
-        before drawing.  Latents missing from ``domains`` are binary."""
+    def _layout(self, graph: AugmentedAdmg) -> None:
+        """Every structural check, then each variable's sorted parents: its
+        directed parents plus one latent per incident bidirected edge, each
+        latent named once.  One read of the graph."""
         if graph.selection is None:
             raise GraphError("an SCM requires a graph with a selection vertex")
         self.graph = graph
-        edges = graph.bidirected_edges
-        self._latents = tuple(sorted(latent_name(u, v) for u, v in edges))
-        clash = sorted(set(self._latents) & set(graph.vertices))
+        adjacency = graph._adjacency()
+        parents: dict[str, tuple[str, ...]] = {}
+        incident: dict[str, list[str]] = {v: [] for v, _, _ in adjacency}
+        for v, _, partners in adjacency:
+            for u in partners:
+                if v < u:  # each edge once, from its lesser end
+                    latent = latent_name(v, u)
+                    parents[latent] = ()
+                    incident[v].append(latent)
+                    incident[u].append(latent)
+        self._latents = tuple(sorted(parents))
+        clash = sorted(set(self._latents) & incident.keys())
         if clash:
             raise GraphError(
                 f"vertex names collide with latent names: {', '.join(clash)}"
             )
+        for v, pa, _ in adjacency:
+            parents[v] = tuple(sorted(pa + tuple(incident[v]))) if incident[v] else pa
+        self._parents = parents
 
-        s = graph.selection
+    def _size(self, domains: Mapping[str, int]) -> None:
+        """Sizes, sorted names and each table's layout once :meth:`_layout` has
+        run; no table is read, so :func:`random_scm` runs this before drawing.
+        Latents missing from ``domains`` are binary."""
+        s = self.graph.selection
         size = domains.get(s, 2)  # a numpy 2 is 2; a bool or a float is not
         if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size != 2:
             raise ValueError(
                 f"domain of {s!r} must be 2, the selection vertex is binary; got {size!r}"
             )
         sizes: dict[str, int] = {}
-        for v in graph.vertices:
-            if v != s and v not in domains:
+        for v in self.graph.vertices:
+            if v == s:
+                sizes[v] = 2
+            elif v not in domains:
                 raise ValueError(f"missing domain size for {v!r}")
-            sizes[v] = 2 if v == s else _integer(f"domain of {v!r}", domains[v], 2)
+            else:
+                sizes[v] = _integer("domain of", domains[v], 2, v)
         for l in self._latents:
-            sizes[l] = _integer(f"domain of {l!r}", domains.get(l, 2), 2)
+            sizes[l] = _integer("domain of", domains.get(l, 2), 2, l)
         self._sizes = sizes
-        self._names = tuple(sorted(sizes))
+        self._names = names = tuple(sorted(sizes))
         if math.prod(sizes.values()) > MAX_STATES:
             raise ValueError(
                 f"state space exceeds {MAX_STATES} cells; exact computation refused"
             )
-        self._parents = _parent_map(graph, edges)
-        axis = {n: i for i, n in enumerate(self._names)}
         # per variable: its table shape, then the transpose and the shape that
         # lay a stack of its tables (a leading trial axis) over the trial axis
-        # and the full variable order; that order is sorted by name, so the
-        # table's axes sorted by name fit it
+        # and the full variable order; that order is sorted by name, and the
+        # parents are sorted, so the transpose moves only the variable's own
+        # axis, in among its parents
         self._plan: dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
-        for name in self._names:
-            axes = self._parents[name] + (name,)
-            full = [-1] + [1] * len(self._names)
-            for a in axes:
-                full[axis[a] + 1] = sizes[a]
-            order = (0, *sorted(range(1, len(axes) + 1), key=lambda i: axes[i - 1]))
-            self._plan[name] = (tuple(sizes[a] for a in axes), order, tuple(full))
+        axis = {n: i for i, n in enumerate(names, start=1)}
+        ones = [-1] + [1] * len(names)
+        for name in names:
+            pa = self._parents[name]
+            shape = (*map(sizes.__getitem__, pa), sizes[name])
+            k = bisect.bisect(pa, name)
+            full = ones.copy()
+            for a, size in zip((*pa, name), shape):
+                full[axis[a]] = size
+            order = (0, *range(1, k + 1), len(pa) + 1, *range(k + 1, len(pa) + 1))
+            self._plan[name] = (shape, order, tuple(full))
         # the selection vertex is a sink, so only its own table has its axis
-        self._selected = (slice(None),) * (axis[s] + 1) + (slice(1, 2),)
+        self._selected = (slice(None),) * axis[s] + (slice(1, 2),)
 
     # -- structure accessors -------------------------------------------------
 
@@ -547,6 +561,7 @@ def random_scm(
     tables.  A state space of more than ``MAX_STATES`` cells is refused before
     any table is drawn.
     """
+    _require_graph(g)
     domain_size = _integer("domain_size", domain_size, 2)
     seed = _integer("seed", seed, 0)
     min_prob = _min_prob(min_prob, domain_size)
@@ -559,9 +574,9 @@ def _laid_out(g: AugmentedAdmg, domain_size: int) -> DiscreteScm:
     """A model of ``g`` with every observed vertex and latent of ``domain_size``
     values, laid out with no tables yet: those drawn by :func:`_draw` need no
     re-check."""
-    latents = [latent_name(u, v) for u, v in g.bidirected_edges]
     scm = DiscreteScm.__new__(DiscreteScm)
-    scm._layout(g, dict.fromkeys([*g.observed, *latents], domain_size))
+    scm._layout(g)
+    scm._size(dict.fromkeys([*g.observed, *scm._latents], domain_size))
     return scm
 
 

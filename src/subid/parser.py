@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import AugmentedAdmg
+from .graph import AugmentedAdmg, _require_graph
 
 __all__ = ["ParseError", "GraphDocument", "parse_graph", "serialize_graph"]
 
@@ -118,8 +118,7 @@ def serialize_graph(g: AugmentedAdmg) -> str:
 
     Raises ``TypeError`` when ``g`` is not an :class:`AugmentedAdmg`.
     """
-    if not isinstance(g, AugmentedAdmg):
-        raise TypeError(f"graph must be an AugmentedAdmg, got {type(g).__name__}")
+    _require_graph(g)
     if g.selection is None and "S" in g.vertices:
         # the language has no way to switch the S-by-default rule off
         raise ValueError(

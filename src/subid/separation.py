@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import AugmentedAdmg, GraphError
+from .graph import AugmentedAdmg, GraphError, _require_graph
 
 __all__ = ["m_separated", "m_separated_bruteforce"]
 
@@ -31,6 +31,8 @@ def _checked_triple(
     second: Iterable[str],
     conditioning: Iterable[str],
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The three sets as vertex sets of the graph ``g``, pairwise disjoint."""
+    _require_graph(g)
     a = g.vertex_set(first)
     b = g.vertex_set(second)
     w = g.vertex_set(conditioning)
@@ -53,7 +55,8 @@ def m_separated(
 
     The sets must be pairwise disjoint.  Either side being empty yields True.
     """
-    return not g._m_connected(*_checked_triple(g, first, second, conditioning))
+    a, b, w = _checked_triple(g, first, second, conditioning)  # checks ``g`` before use
+    return not g._m_connected(a, b, w)
 
 
 def m_separated_bruteforce(
@@ -67,12 +70,12 @@ def m_separated_bruteforce(
     Exponential; refuses graphs with more than 12 vertices.  Used to validate
     :func:`m_separated`.
     """
+    a, b, w = _checked_triple(g, first, second, conditioning)
     if len(g.vertices) > _BRUTE_FORCE_LIMIT:
         raise GraphError(
             f"brute-force m-separation is limited to {_BRUTE_FORCE_LIMIT} "
             f"vertices, got {len(g.vertices)}"
         )
-    a, b, w = _checked_triple(g, first, second, conditioning)
     if not a or not b:
         return True
 

@@ -29,7 +29,8 @@ from subid import (
 )
 
 from conftest import GRAPH_DIR
-from helpers import iter_assignments, random_admg, random_query, random_scm_reference
+from helpers import (iter_assignments, random_admg, random_query, random_scm_reference,
+                     scrambled_names)
 
 
 def _selected_effect(scm, x, y):
@@ -234,6 +235,50 @@ def test_scm_parent_lists():
     assert scm.parent_list("S") == ("S~Y", "Z")
     assert scm.parent_list("X") == ("X~Z",)
     assert scm.parent_list("S~Y") == ()
+
+
+def _layout_reference(g, domains):
+    """The latents, parent lists and domain sizes of a model of ``g``, built
+    from its edge lists; latents missing from ``domains`` are binary."""
+    parents = {v: set() for v in g.vertices}
+    for tail, head in g.directed_edges:
+        parents[head].add(tail)
+    sizes = {v: domains[v] for v in g.observed}
+    sizes[g.selection] = 2
+    for u, v in g.bidirected_edges:
+        latent = latent_name(u, v)
+        parents[latent] = set()
+        parents[u].add(latent)
+        parents[v].add(latent)
+        sizes[latent] = domains.get(latent, 2)
+    latents = tuple(sorted(set(parents) - set(g.vertices)))
+    return latents, {name: tuple(sorted(p)) for name, p in parents.items()}, sizes
+
+
+def test_model_layout_matches_the_edge_lists():
+    rng = np.random.default_rng(26)
+    for k in range(40):
+        n = int(rng.integers(2, 6))
+        names = scrambled_names(rng, n) if k % 2 else None
+        g = random_admg(rng, n_obs=n, names=names, p_bi=0.3, p_sel_bi=0.3)
+        latents = [latent_name(u, v) for u, v in g.bidirected_edges]
+        domains = {v: int(rng.integers(2, 4)) for v in g.observed}
+        domains.update((l, 3) for l in latents[::2])  # the others default to binary
+        want_latents, want_parents, want_sizes = _layout_reference(g, domains)
+        cpts = {
+            name: np.full((*(want_sizes[p] for p in pa), want_sizes[name]), 1 / want_sizes[name])
+            for name, pa in want_parents.items()
+        }
+        size = 2 + k % 2
+        models = [
+            (DiscreteScm(g, domains, cpts), want_parents, want_sizes),
+            (random_scm(g, domain_size=size, seed=k),
+             *_layout_reference(g, dict.fromkeys([*g.observed, *latents], size))[1:]),
+        ]
+        for scm, parents, sizes in models:
+            assert scm.latents == want_latents
+            assert {name: scm.parent_list(name) for name in parents} == parents
+            assert {name: scm.domain_size(name) for name in sizes} == sizes
 
 
 def test_scm_accessors_name_an_unknown_variable():

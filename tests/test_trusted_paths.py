@@ -23,6 +23,7 @@ from subid import (
     find_hedge,
     is_ancestral,
     is_id,
+    is_s_hedge,
     m_separated,
     prob,
     product,
@@ -49,26 +50,32 @@ def _part_holding(factors, scope):
 
 
 def _check_s_id_plan(g, x, y):
-    """Each component's enclosing scope, narrowing steps and replayed factor,
-    as ``s_id`` takes them, against the public functions; returns the number
-    of factors replayed."""
+    """``s_id``'s graph side, as ``AugmentedAdmg._s_id_plan`` returns it, against
+    the public functions: the ancestry D and its components, each component's
+    enclosing scope, narrowing steps and replayed factor, the stuck scope and
+    the order; returns the number of factors replayed."""
     anc, non_anc = map(set, g.split_by_selection())
-    d = g.ancestors([v for v in y if v in non_anc], within=non_anc - set(x))
+    d, plans, stuck, order = g._s_id_plan(x, y)
+    assert d == g.ancestors([v for v in y if v in non_anc], within=non_anc - set(x))
+    comps = s_components(g, d)
+    assert [comp for comp, _, _ in plans] == comps[:len(plans)]
+    if stuck is None:
+        assert len(plans) == len(comps) and order == g.topological_order(non_anc)
+    else:
+        comp, last = stuck
+        assert comp == comps[len(plans)] and order is None
+        assert is_s_hedge(g, comp, last)
     enclosing = s_components(g, non_anc)
     replayed = 0
-    for comp in s_components(g, d):
-        t = g._enclosing(comp)
+    for comp, t, steps in plans:
         assert t == next(e for e in enclosing if comp[0] in e)
-        last, steps = g._narrow(comp, t, selected=True)
         scope = t
         for ancestry, part in steps:
             assert set(comp) <= set(ancestry) < set(scope)
             assert is_ancestral(g, ancestry, scope)
             assert part == next(p for p in s_components(g, ancestry) if comp[0] in p)
             scope = part
-        assert scope == last
-        if last != comp:
-            continue
+        assert scope == comp
         factor = _part_holding(qs_decompose(g, qs_base(g)), t)
         for ancestry, part in steps:
             factor = qs_marginalize(g, factor, ancestry)
@@ -130,9 +137,10 @@ def _product_of_runs(g, factor, comp):
 def _check_builders(g, factor):
     """Every component factor of ``factor`` against ``product()`` of its ratios;
     returns how many components had one run and how many had several."""
-    build = _component_builder(g.topological_order(factor.scope), factor)
+    comps = s_components(g, factor.scope)
+    build = _component_builder(g.topological_order(factor.scope), factor, comps)
     counts = [0, 0]
-    for comp in s_components(g, factor.scope):
+    for comp in comps:
         got, want = build(comp).expr, _product_of_runs(g, factor, comp)
         assert got == want and repr(got) == repr(want)
         counts[isinstance(got, Product)] += 1
@@ -151,18 +159,20 @@ def test_component_factors_equal_the_product_of_their_ratios():
         base = qs_base(g)
         counts += _check_builders(g, base)
         non_anc = set(g.split_by_selection()[1])
+        enclosing = s_components(g, non_anc)
         for _ in range(4):
             x, y = random_query(rng, g)
             d = g.ancestors([v for v in y if v in non_anc], within=non_anc - set(x))
             for comp in s_components(g, d):
-                t = g._enclosing(comp)
-                factor = _component_builder(g.topological_order(base.scope), base)(t)
+                t = next(e for e in enclosing if comp[0] in e)
+                factor = _component_builder(g.topological_order(base.scope), base, [t])(t)
                 for ancestry, part in g._narrow(comp, t, selected=True)[1]:
                     dropped = [v for v in factor.scope if v not in ancestry]
                     factor = QsFactor(ancestry, sum_over(dropped, factor.expr))
                     if part != ancestry:
                         counts += _check_builders(g, factor)
-                        factor = _component_builder(g.topological_order(factor.scope), factor)(part)
+                        order = g.topological_order(factor.scope)
+                        factor = _component_builder(order, factor, [part])(part)
                         replayed += 1
     # enough factors of several runs, and replayed ones, that the checks mean something
     assert counts[0] >= 150 and counts[1] >= 40 and replayed >= 30
