@@ -24,6 +24,11 @@ factors ordered by their text rendering and telescoping quotient chains
 cancelled, empty sums disappear, and trivial quotients collapse.  Every tree
 built this way, or read back with :func:`from_json`, is in canonical form, and
 canonicalizing preserves evaluation exactly on strictly positive tables.
+:func:`prob` and :func:`sum_over` are their name checks plus the private
+``_prob`` and ``_sum``, which take tuples of names that are already canonical
+(sorted, distinct, and for ``_prob`` disjoint) and hold the one body of each
+rule, the unit of an empty outcome and the merge of nested sums; callers
+that build their names from sorted tuples (``s_id``) call them directly.
 
 Canonicalizing costs about the size of its output.  Each ``Prob`` and
 ``SumOver`` formats its own text label once, at construction, into a field
@@ -168,18 +173,25 @@ def prob(of: Iterable[str], given: Iterable[str] = ()) -> Estimand:
         raise ValueError(
             f"variables cannot be both outcome and conditioning: {sorted(overlap)}"
         )
-    if not of_t:
-        return ONE
-    return Prob(of_t, given_t)
+    return _prob(of_t, given_t)
+
+
+def _prob(of_t: tuple[str, ...], given_t: tuple[str, ...]) -> Estimand:
+    """:func:`prob` on disjoint tuples of names, each already sorted and distinct."""
+    return Prob(of_t, given_t) if of_t else ONE
 
 
 def sum_over(bound: Iterable[str], body: Estimand) -> Estimand:
     """Sum ``body`` over ``bound``; empty sums vanish, nested sums merge."""
-    bound_t = _names(bound, "bound variables")
+    return _sum(_names(bound, "bound variables"), body)
+
+
+def _sum(bound_t: tuple[str, ...], body: Estimand) -> Estimand:
+    """:func:`sum_over` on a tuple of names already sorted and distinct."""
     if not bound_t:
         return _node(body)
     if isinstance(_node(body), SumOver) and not set(bound_t) & set(body.over):
-        return SumOver(tuple(sorted(set(bound_t) | set(body.over))), body.body)
+        return SumOver(tuple(sorted(bound_t + body.over)), body.body)  # disjoint
     return SumOver(bound_t, body)
 
 

@@ -22,6 +22,17 @@ side (:meth:`AugmentedAdmg._s_id_plan`), which reads a query's names once,
 runs its ancestry, component, scope-loop and ordering steps on masks and
 decodes each answer once.  :func:`_require_graph` is the type door of every
 public function that takes a graph.
+
+The constructor checks acyclicity with one Kahn pass over the selection
+vertex's ancestry and one over the rest, not one over all vertices: the
+vertices of a directed cycle are ancestors of each other, so a cycle lies
+wholly on one side, and the two passes together miss a vertex exactly when
+the graph has a cycle.  The second pass is the topological order of the
+non-ancestral part that every ``s_id`` query needs; the graph keeps it, as
+names, in a slot that equality, hashing and repr ignore.  Only the
+constructor fills it: a graph made by :meth:`AugmentedAdmg.edge_surgery`
+leaves it unset, and ``s_id`` then computes the order per query without
+storing it, so no query writes to a graph.
 """
 
 from __future__ import annotations
@@ -112,7 +123,8 @@ class AugmentedAdmg:
         declared vertex with no directed children.
     """
 
-    __slots__ = ("_vertices", "_index", "_all", "_selection", "_pa", "_ch", "_sib", "_sel_anc")
+    __slots__ = ("_vertices", "_index", "_all", "_selection", "_pa", "_ch", "_sib", "_sel_anc",
+                 "_non_anc_order")
 
     def __init__(
         self,
@@ -142,16 +154,23 @@ class AugmentedAdmg:
                     f"children {', '.join(names[j] for j in _bits(ch[index[selection]]))}"
                 )
         self._adopt(names, index, selection, pa, ch, sib)
-        if len(self._order(self._all)) < len(names):
+        # one Kahn pass per side of the selection ancestry (see the module
+        # docstring); the second is the order that ``_s_id_plan`` reads
+        rest = self._order(self._all & ~self._sel_anc)
+        if len(self._order(self._sel_anc)) + len(rest) < len(names):
             raise CycleError(self._cycle())
+        self._non_anc_order = tuple([names[i] for i in rest])
 
     def _adopt(self, names, index, selection, pa, ch, sib) -> None:
-        """Set every slot from already-checked parts; the only path that does."""
+        """Set every slot from already-checked parts; the only path that does.
+        The order of the non-ancestral part is left unset (None): only
+        ``__init__`` fills it, from its acyclicity pass."""
         self._vertices, self._index, self._selection = names, index, selection
         self._all = (1 << len(names)) - 1
         self._pa, self._ch, self._sib = pa, ch, sib
         sel = 0 if selection is None else 1 << index[selection]
         self._sel_anc = self._flood(sel, self._all, pa)
+        self._non_anc_order = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -408,7 +427,8 @@ class AugmentedAdmg:
         steps)``; ``stuck`` is None, or ``(component, scope)`` for the first
         component whose scope loop got stuck (an s-hedge), where the plans end
         and ``order`` is None; else ``order`` is the topological order of the
-        non-ancestral part."""
+        non-ancestral part: the one that ``__init__`` kept, or on a graph
+        built without it (``edge_surgery``) one computed here and not stored."""
         names_of = self._names_of
         outside = self._all & ~self._sel_anc
         d = self._flood(self._mask(y) & outside, outside & ~self._mask(x), self._pa)
@@ -421,8 +441,11 @@ class AugmentedAdmg:
             if last != comp:
                 return names_of(d), plans, (names_of(comp), names_of(last)), None
             plans.append((names_of(comp), names_of(t), steps))
-        names = self._vertices
-        return names_of(d), plans, None, tuple([names[i] for i in self._order(outside)])
+        order = self._non_anc_order
+        if order is None:
+            names = self._vertices
+            order = tuple([names[i] for i in self._order(outside)])
+        return names_of(d), plans, None, order
 
     def _m_connected(self, first, second, conditioning) -> bool:
         """Whether a path that ``conditioning`` leaves open joins the first two

@@ -17,11 +17,16 @@ non-graph raises ``TypeError``); the steps inside them do not re-validate
 the sets they build.  They call the graph's private name-in, name-out
 methods: ``s_id`` hands its checked query to ``AugmentedAdmg._s_id_plan``,
 which does the whole graph side on masks (the outcome's ancestry D, its
-s-components, each one's enclosing s-component and scope loop, the order of
-the non-ancestral part) and decodes each answer once; ``s_id_single``,
-``is_id`` and the separation checks call the scope loop and the
-m-connection walk.  Each factor is summed to an ancestry that the scope
-loop returned, so it is ancestral by construction.
+s-components, each one's enclosing s-component and scope loop) and decodes
+each answer once, and which hands back the order of the non-ancestral part
+that the graph's constructor kept; ``s_id_single``, ``is_id`` and the
+separation checks call the scope loop and the m-connection walk.  Each
+factor is summed to an ancestry that the scope loop returned, so it is
+ancestral by construction.  ``s_id``'s own names (the base factor's, the
+outer probability's, the sums') are filtered out of sorted, disjoint tuples,
+so its nodes are built through the estimand module's private ``_prob`` and
+``_sum``, which skip the name checks of ``prob`` and ``sum_over``; the public
+constructors and the ``qs_*`` steps keep every check.
 
 The module owns the graph side of the factor steps (``qs_*``), whose
 expressions :mod:`subid.estimand` builds, and a verdict's JSON form, which the
@@ -34,8 +39,8 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
 from .components import c_components, is_ancestral, s_components
-from .estimand import (Estimand, QsFactor, _component_builder, estimand_to_dict, prob,
-                       product, sum_over)
+from .estimand import (Estimand, QsFactor, _component_builder, _prob, _sum, estimand_to_dict,
+                       prob, product)
 from .graph import AugmentedAdmg, GraphError, _require_graph
 
 __all__ = [
@@ -214,13 +219,15 @@ def qs_marginalize(g: AugmentedAdmg, factor: QsFactor, to: Iterable[str]) -> QsF
             f"{{{', '.join(factor.scope)}}}; summing a post-intervention "
             "factor requires an ancestral target"
         )
-    return _summed(factor, target)
+    # a factor built by hand may list its scope in any order; _summed needs it sorted
+    return _summed(QsFactor(g.vertex_set(factor.scope), factor.expr), target)
 
 
 def _summed(factor: QsFactor, to: tuple[str, ...]) -> QsFactor:
-    """``factor`` summed down to the scope ``to``, a subset of its own."""
+    """``factor`` summed down to the scope ``to``, a subset of its own, which
+    is sorted and distinct, so the names summed out are too."""
     kept = set(to)
-    return QsFactor(to, sum_over([v for v in factor.scope if v not in kept], factor.expr))
+    return QsFactor(to, _sum(tuple([v for v in factor.scope if v not in kept]), factor.expr))
 
 
 def qs_decompose(g: AugmentedAdmg, factor: QsFactor) -> list[QsFactor]:
@@ -300,8 +307,7 @@ def s_id(
 def _s_id(g: AugmentedAdmg, x: tuple[str, ...], y: tuple[str, ...]) -> IdentifyResult:
     """:func:`s_id` on a query already validated by :func:`_query_sets`."""
     anc_t, non_anc_t = g.split_by_selection()
-    anc = set(anc_t)
-    witness = _separation_witness(g, x, y, anc)
+    witness = _separation_witness(g, x, y, set(anc_t))
     if witness is not None:
         return IdentifyResult("fail", witness=witness)
 
@@ -309,15 +315,19 @@ def _s_id(g: AugmentedAdmg, x: tuple[str, ...], y: tuple[str, ...]) -> IdentifyR
     d, plans, stuck, order = g._s_id_plan(x, y)
     if stuck is not None:
         return IdentifyResult("fail", witness=HedgeWitness(*stuck))
-    base = QsFactor(non_anc_t, prob(non_anc_t, anc_t))  # qs_base(g), from the split above
+    # qs_base(g), from the split above; every name tuple below is filtered out
+    # of a sorted one, so the nodes are built without prob's and sum_over's checks
+    base = QsFactor(non_anc_t, _prob(non_anc_t, anc_t))
     scopes = dict.fromkeys(t for _, t, _ in plans)  # each enclosing factor once
     build = _component_builder(order, base, scopes)
     enclosing = {t: build(t) for t in scopes}
     parts = [_replay(g, enclosing[t], steps) for _, t, steps in plans]
 
-    outer_prob = prob(anc - set(x), anc & set(x))
-    inner = sum_over(set(d) - set(y), product(p.expr for p in parts))
-    est = sum_over(anc - set(x) - set(y), product([outer_prob, inner]))
+    xs, ys = set(x), set(y)
+    free = tuple([v for v in anc_t if v not in xs])
+    outer_prob = _prob(free, tuple([v for v in anc_t if v in xs]))
+    inner = _sum(tuple([v for v in d if v not in ys]), product(p.expr for p in parts))
+    est = _sum(tuple([v for v in free if v not in ys]), product([outer_prob, inner]))
     return IdentifyResult("identifiable", estimand=est)
 
 

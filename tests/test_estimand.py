@@ -23,6 +23,7 @@ from subid import (
     Prob,
     ProbabilityTable,
     Product,
+    QsFactor,
     Quotient,
     SumOver,
     estimand_from_dict,
@@ -919,6 +920,14 @@ def test_qs_marginalize(medication):
     assert render(shrunk.expr, "text", unicode_sum=False) == (
         "Sum_{Y} P(X,Y|Z,S=1)"
     )
+
+
+def test_qs_marginalize_sums_a_hand_built_scope_in_sorted_order(hedges):
+    base = qs_base(hedges)
+    for scope in (base.scope[::-1], base.scope + base.scope):
+        got = qs_marginalize(hedges, QsFactor(scope, base.expr), ["X1"])
+        assert got.expr.over == ("X2", "Y1", "Y2")
+        assert got == qs_marginalize(hedges, base, ["X1"])
 
 
 def test_qs_marginalize_rejects_non_ancestral_target(medication):

@@ -1,14 +1,19 @@
 """Graph construction, validation, and the vertex-set operations."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from subid import AugmentedAdmg, CycleError, GraphError, c_components, is_id, s_components, s_id
+from subid import (AugmentedAdmg, CycleError, GraphError, c_components, is_id, parse_graph,
+                   render, s_components, s_id)
 
 from helpers import (
     ancestors_reference,
     c_components_reference,
     random_admg,
+    random_query,
     s_components_reference,
     scrambled_names,
     split_by_selection_reference,
@@ -90,6 +95,35 @@ def test_cycle_detected_alongside_acyclic_part():
             [("A", "B"), ("C", "D"), ("D", "C")],
         )
     assert set(info.value.cycle) == {"C", "D"}
+
+
+# the constructor checks the selection ancestry and the rest in one pass each:
+# a cycle's vertices are ancestors of each other, so it lies wholly on one side
+SPLIT_CYCLES = {
+    "inside": ([("A", "B"), ("B", "A"), ("B", "S"), ("C", "D")], ["A", "B"]),
+    "outside": ([("A", "S"), ("C", "D"), ("D", "E"), ("E", "C")], ["C", "D", "E"]),
+    # the reported cycle is the one reached from the least name left unordered
+    "both": ([("A", "B"), ("B", "A"), ("B", "S"), ("C", "D"), ("D", "C")], ["A", "B"]),
+}
+
+
+def _admg_of(edges):
+    return AugmentedAdmg({v for e in edges for v in e}, edges, selection="S")
+
+
+def _parsed(edges):
+    return parse_graph("\n".join(f"{u} -> {v}" for u, v in edges)).graph
+
+
+@pytest.mark.parametrize("build", [_admg_of, _parsed], ids=["constructor", "parser"])
+@pytest.mark.parametrize("case", SPLIT_CYCLES)
+def test_cycles_on_either_side_of_the_selection_ancestry(case, build):
+    edges, members = SPLIT_CYCLES[case]
+    with pytest.raises(CycleError) as info:
+        build(edges)
+    cycle = info.value.cycle
+    assert sorted(cycle) == members
+    assert all((u, v) in edges for u, v in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 @pytest.mark.parametrize(
@@ -353,8 +387,17 @@ def test_mask_kernel_matches_set_references(n_obs):
                 assert s_components(h, members) == s_components_reference(h, members)
 
 
+def _answers(g, queries):
+    """Each query's ``s_id`` verdict, witness and estimand, and its text."""
+    results = [s_id(g, x, y) for x, y in queries]
+    return results, [r.estimand and render(r.estimand) for r in results]
+
+
 def test_edge_surgery_equals_the_checked_construction():
-    rng = np.random.default_rng(6)
+    # a cut graph skips the constructor, and with it the kept order of the
+    # non-ancestral part, which ``s_id`` then computes per query
+    rng, pick = np.random.default_rng(6), np.random.default_rng(7)
+    identified = 0
     for _ in range(60):
         g = random_admg(rng, names=scrambled_names(rng, int(rng.integers(3, 40))))
         cut = g.edge_surgery(
@@ -364,9 +407,25 @@ def test_edge_surgery_equals_the_checked_construction():
         rebuilt = AugmentedAdmg(
             cut.vertices, cut.directed_edges, cut.bidirected_edges, selection=cut.selection
         )
-        assert cut == rebuilt and hash(cut) == hash(rebuilt)
+        assert cut == rebuilt and hash(cut) == hash(rebuilt) and repr(cut) == repr(rebuilt)
         for v in g.vertices:
             assert cut.parents(v) == rebuilt.parents(v)
             assert cut.children(v) == rebuilt.children(v)
             assert cut.siblings(v) == rebuilt.siblings(v)
         assert cut.split_by_selection() == rebuilt.split_by_selection()
+        queries = [random_query(pick, g) for _ in range(4)]
+        answers = _answers(cut, queries)
+        assert answers == _answers(rebuilt, queries)
+        identified += sum(r.identifiable for r in answers[0])
+    assert identified >= 100
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_copies_answer_like_the_original(medication, how):
+    duplicate = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                 "pickle": lambda g: pickle.loads(pickle.dumps(g))}[how]
+    queries = [(("X",), ("Y",)), (("Z",), ("Y",)), ((), ("X", "Y"))]
+    for g in (medication, medication.edge_surgery(bar_in=["X"])):
+        twin = duplicate(g)
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert _answers(twin, queries) == _answers(g, queries)

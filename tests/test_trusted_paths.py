@@ -1,8 +1,9 @@
 """The unchecked paths inside ``s_id``, ``s_recover`` and ``is_id`` against the
-public checks they skip, the component factors built without ``product()``
-and the sort heads read off labels against the whole texts, and the module
-boundaries that keep masks in ``graph.py`` and graph questions out of
-``estimand.py``."""
+public checks they skip, on constructed and on cut graphs, the nodes that
+``s_id`` builds from trusted names against the checked constructors, the
+component factors built without ``product()`` and the sort heads read off
+labels against the whole texts, and the module boundaries that keep masks in
+``graph.py`` and graph questions out of ``estimand.py``."""
 
 import ast
 import re
@@ -31,10 +32,12 @@ from subid import (
     qs_decompose,
     qs_marginalize,
     quotient,
+    render,
     s_components,
+    s_id,
     sum_over,
 )
-from subid.estimand import _component_builder, _head, _text, _TextKey
+from subid.estimand import _component_builder, _head, _prob, _sum, _text, _TextKey
 from subid.identify import _replay, _violated
 
 from helpers import random_admg, random_estimand, random_query, scrambled_names
@@ -86,6 +89,24 @@ def _check_s_id_plan(g, x, y):
     return replayed
 
 
+def _assembled(g, x, y):
+    """``s_id``'s estimand of an identifiable query, assembled from the public
+    constructors and factor steps on the plan of ``AugmentedAdmg._s_id_plan``."""
+    anc, non_anc = map(set, g.split_by_selection())
+    d, plans, _, _ = g._s_id_plan(x, y)
+    parts = []
+    for _, t, steps in plans:
+        factor = _part_holding(qs_decompose(g, qs_base(g)), t)
+        for ancestry, part in steps:
+            factor = qs_marginalize(g, factor, ancestry)
+            if part != ancestry:
+                factor = _part_holding(qs_decompose(g, factor), part)
+        parts.append(factor.expr)
+    outer = prob(anc - set(x), anc & set(x))
+    inner = sum_over(set(d) - set(y), product(parts))
+    return sum_over(anc - set(x) - set(y), product([outer, inner]))
+
+
 def _witnesses(g, x, y):
     """The separation requirements of ``s_recover`` and ``s_id`` for the query."""
     sel = g.selection
@@ -98,9 +119,13 @@ def _witnesses(g, x, y):
 
 def test_trusted_paths_agree_with_the_public_checks():
     rng = np.random.default_rng(16)
-    replayed = violated = 0
+    replayed = violated = cut_replayed = assembled = 0
     for _ in range(120):
         g = random_admg(rng, n_obs=int(rng.integers(3, 8)), p_bi=0.3, p_sel_dir=0.15)
+        # a cut graph keeps no order of its non-ancestral part: _s_id_plan computes it
+        cut = g.edge_surgery([v for v in g.observed if rng.random() < 0.3],
+                             [v for v in g.observed if rng.random() < 0.3])
+        assert cut._non_anc_order is None
         for _ in range(4):
             x, y = random_query(rng, g)
             d = g.ancestors(y, within=set(g.vertices) - set(x))
@@ -111,8 +136,46 @@ def test_trusted_paths_agree_with_the_public_checks():
                 assert _violated(g, w) == want
                 violated += want
             replayed += _check_s_id_plan(g, x, y)
+            cut_replayed += _check_s_id_plan(cut, x, y)
+            for h in (g, cut):
+                result = s_id(h, x, y)
+                if result.identifiable:
+                    want = _assembled(h, x, y)
+                    assert result.estimand == want and render(result.estimand) == render(want)
+                    assert repr(result.estimand) == repr(want)
+                    assembled += 1
     # enough of both outcomes that the comparisons above mean something
     assert replayed >= 300 and violated >= 200
+    assert cut_replayed >= 300 and assembled >= 200
+
+
+def test_trusted_constructions_agree_with_the_checked_ones():
+    # ``s_id`` builds its sums and probabilities from names filtered out of
+    # sorted tuples, through ``_sum`` and ``_prob``, which skip the name checks
+    rng = np.random.default_rng(18)
+    names = ["A", "B", "C", "D", "E"]
+
+    def subset():
+        return tuple(v for v in names if rng.random() < 0.4)
+
+    merged = nested = 0
+    for _ in range(400):
+        body = random_estimand(rng, names, depth=int(rng.integers(0, 4)))
+        if rng.random() < 0.5:
+            body = sum_over(subset(), body)
+        bound = subset()
+        got, want = _sum(bound, body), sum_over(bound, body)
+        assert got == want and repr(got) == repr(want)
+        if isinstance(body, SumOver) and bound:
+            nested += 1
+            merged += got.body is body.body
+        of = subset()
+        given = tuple(v for v in names if v not in of and rng.random() < 0.5)
+        got, want = _prob(of, given), prob(of, given)
+        assert got == want and repr(got) == repr(want)
+        assert (got is ONE) == (not of)
+    # enough sums over sums, merged and kept nested, that the merge rule is exercised
+    assert merged >= 40 and nested - merged >= 40
 
 
 def _product_of_runs(g, factor, comp):
