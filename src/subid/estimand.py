@@ -28,7 +28,8 @@ canonicalizing preserves evaluation exactly on strictly positive tables.
 ``_prob`` and ``_sum``, which take tuples of names that are already canonical
 (sorted, distinct, and for ``_prob`` disjoint) and hold the one body of each
 rule, the unit of an empty outcome and the merge of nested sums; callers
-that build their names from sorted tuples (``s_id``) call them directly.
+that build their names from sorted tuples call them directly (``s_id``, and
+``_component_factors`` for every prefix marginal).
 
 Canonicalizing costs about the size of its output.  Each ``Prob`` and
 ``SumOver`` formats its own text label once, at construction, into a field
@@ -41,11 +42,11 @@ partners are looked up in indexes keyed by the stored labels (or only the
 node type), never by rendering or hashing subtrees.  A component factor of
 ``qs_decompose`` has one ratio per maximal run of positions; maximal runs
 never cancel, so its ratios are only sorted, without the telescope search.
-The builder is told which components it will build and keeps the sorted
-suffix of the order (a prefix marginal's bound names) only at their run
-boundaries, walking the order from its end down to the first boundary; a
-query on a sparse graph has few boundaries, so its suffixes no longer hold
-the n^2/2 names of one suffix per position.
+``_component_factors`` returns the factors of the components it is given, in
+order, and builds prefix marginals only at their run boundaries: it walks the
+order from its end down to the first boundary, keeping the sorted suffix (a
+marginal's bound names); a query on a sparse graph has few boundaries, so
+its marginals do not hold the n^2/2 names of one suffix per position.
 Every walk over a tree uses an explicit stack, so free variables, text, latex
 and the JSON object work at any depth; latex streams left to right like text
 and holds no subtree strings.  Only JSON text, which the ``json`` module
@@ -54,7 +55,7 @@ writes and reads recursively, and :func:`estimand_from_dict` raise
 
 The module is symbolic only and imports neither numpy nor any other module
 of the package: the graph questions of the factor steps are asked in
-:mod:`subid.identify`, which hands ``_component_builder`` each topological
+:mod:`subid.identify`, which hands ``_component_factors`` each topological
 order, and estimands are evaluated on probability tables in :mod:`subid.oracle`.
 """
 
@@ -66,7 +67,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from typing import Union
 
 __all__ = [
@@ -614,13 +615,13 @@ class QsFactor:
     expr: Estimand
 
 
-def _component_builder(
+def _component_factors(
     order: tuple[str, ...], factor: QsFactor, comps: Iterable[tuple[str, ...]]
-) -> Callable[[tuple[str, ...]], QsFactor]:
-    """``qs_decompose``'s factor of each s-component in ``comps``, one per call;
+) -> list[QsFactor]:
+    """``qs_decompose``'s factor of each s-component in ``comps``, in order;
     ``order`` orders the scope.  A component's factor is one ratio
     P_b / P_{a-1} per maximal run a..b of its positions, so only the prefix
-    marginals at the run boundaries of ``comps`` are built, each once."""
+    marginals at the run boundaries of ``comps`` are built, each once, by ``_sum``."""
     pos = {v: i for i, v in enumerate(order, start=1)}
     runs: dict[tuple[str, ...], list[tuple[int, int]]] = {}
     needed = set()  # a - 1 and b of every run a..b
@@ -636,22 +637,18 @@ def _component_builder(
         spans.append((start, positions[-1]))
         needed.update((start - 1, positions[-1]))
     needed -= {0, len(order)}
-    expr = factor.expr  # P_i sums order[i:] out of it as sum_over would, names unchecked
-    merged = isinstance(expr, SumOver) and not set(expr.over) & pos.keys()
-    tail, body = (sorted(expr.over), expr.body) if merged else ([], expr)
-    marginals: dict[int, Estimand] = {len(order): expr, 0: ONE}
+    marginals: dict[int, Estimand] = {len(order): factor.expr, 0: ONE}
+    tail: list[str] = []  # order[i:], sorted: the names that P_i sums out
     for i in range(len(order) - 1, min(needed, default=len(order)) - 1, -1):
         bisect.insort(tail, order[i])
         if i in needed:  # runs that meet share their boundary
-            marginals[i] = SumOver(tuple(tail), body)
-
-    def build(comp: tuple[str, ...]) -> QsFactor:
+            marginals[i] = _sum(tuple(tail), factor.expr)
+    factors = []
+    for comp, spans in runs.items():
         ratios = [marginals[b] if a == 1 else Quotient(marginals[b], marginals[a - 1])
-                  for a, b in runs[comp]]  # P_b / P_{a-1}, the factor of the run a..b
-        if len(ratios) == 1:
-            return QsFactor(comp, ratios[0])
+                  for a, b in spans]  # P_b / P_{a-1}, the factor of the run a..b
         # two ratios could only cancel across adjacent runs, and maximal runs
         # are never adjacent, so of product() only the sort is left to do
-        return QsFactor(comp, Product(tuple(sorted(ratios, key=_TextKey))))
-
-    return build
+        expr = ratios[0] if len(ratios) == 1 else Product(tuple(sorted(ratios, key=_TextKey)))
+        factors.append(QsFactor(comp, expr))
+    return factors

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, Union
 
 from .components import c_components, is_ancestral, s_components
-from .estimand import (Estimand, QsFactor, _component_builder, _prob, _sum, estimand_to_dict,
+from .estimand import (Estimand, QsFactor, _component_factors, _prob, _sum, estimand_to_dict,
                        prob, product)
 from .graph import AugmentedAdmg, GraphError, _require_graph
 
@@ -237,26 +237,27 @@ def qs_decompose(g: AugmentedAdmg, factor: QsFactor) -> list[QsFactor]:
     with P_i the marginal of the factor on the first i vertices of the order
     (P_0 = 1), a component's factor is the product of P_i / P_{i-1} over its
     members, which telescopes to one P_b / P_{a-1} per maximal run a..b of
-    consecutive member positions.  Only those marginals are built, once for all
-    components, so a single-component scope returns the input expression unchanged.
+    consecutive member positions.  ``_component_factors`` builds only those
+    marginals, once for all components, and returns the factors in the order of
+    ``s_components``; a single-component scope returns the input expression unchanged.
     A ``factor`` that is not a :class:`QsFactor` raises ``TypeError``.
     """
     _require_graph(g)
     _require_factor(factor)
-    comps = s_components(g, factor.scope)
-    build = _component_builder(g.topological_order(factor.scope), factor, comps)
-    return [build(comp) for comp in comps]
+    return _component_factors(g.topological_order(factor.scope), factor,
+                              s_components(g, factor.scope))
 
 
 def _replay(g: AugmentedAdmg, factor: QsFactor, steps) -> QsFactor:
     """The factor that the ``steps`` of ``AugmentedAdmg._narrow`` reach from
-    ``factor``: marginalize to each ancestry, then take one s-component when
-    it splits.  Each ancestry is ancestral within the scope before it, so the
-    sum is taken as ``qs_marginalize`` would, without its checks."""
+    ``factor``: marginalize to each ancestry, then take one s-component's
+    factor from ``_component_factors`` when it splits.  Each ancestry is
+    ancestral within the scope before it, so the sum is taken as
+    ``qs_marginalize`` would, without its checks."""
     for anc, part in steps:
         factor = _summed(factor, anc)
         if part != anc:
-            factor = _component_builder(g.topological_order(anc), factor, [part])(part)
+            factor = _component_factors(g.topological_order(anc), factor, [part])[0]
     return factor
 
 
@@ -319,8 +320,7 @@ def _s_id(g: AugmentedAdmg, x: tuple[str, ...], y: tuple[str, ...]) -> IdentifyR
     # of a sorted one, so the nodes are built without prob's and sum_over's checks
     base = QsFactor(non_anc_t, _prob(non_anc_t, anc_t))
     scopes = dict.fromkeys(t for _, t, _ in plans)  # each enclosing factor once
-    build = _component_builder(order, base, scopes)
-    enclosing = {t: build(t) for t in scopes}
+    enclosing = dict(zip(scopes, _component_factors(order, base, scopes)))
     parts = [_replay(g, enclosing[t], steps) for _, t, steps in plans]
 
     xs, ys = set(x), set(y)

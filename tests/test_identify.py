@@ -314,7 +314,7 @@ def test_stuck_queries_build_no_factor(hedges, monkeypatch):
     # stuck at an s-hedge builds nothing
     part = next(p for p in qs_decompose(hedges, qs_base(hedges)) if p.scope == ("Y1", "Y2"))
     calls = []
-    for name in ("product", "_component_builder", "_sum", "_prob"):
+    for name in ("product", "_component_factors", "_sum", "_prob"):
         real = getattr(subid.estimand, name)
 
         def counting(*args, real=real, name=name):

@@ -2,16 +2,19 @@
 public checks they skip, on constructed and on cut graphs, the nodes that
 ``s_id`` builds from trusted names against the checked constructors, the
 component factors built without ``product()`` and the sort heads read off
-labels against the whole texts, and the module boundaries that keep masks in
-``graph.py`` and graph questions out of ``estimand.py``."""
+labels against the whole texts, the module boundaries that keep masks in
+``graph.py`` and graph questions out of ``estimand.py``, and a check, on the
+syntax tree alone, that no module imports a name it does not use."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import numpy as np
 
 from subid import (
+    AugmentedAdmg,
     ONE,
     One,
     Prob,
@@ -22,6 +25,7 @@ from subid import (
     SumOver,
     c_components,
     find_hedge,
+    from_json,
     is_ancestral,
     is_id,
     is_s_hedge,
@@ -36,8 +40,9 @@ from subid import (
     s_components,
     s_id,
     sum_over,
+    to_json,
 )
-from subid.estimand import _component_builder, _head, _prob, _sum, _text, _TextKey
+from subid.estimand import _component_factors, _head, _prob, _sum, _text, _TextKey
 from subid.identify import _replay, _violated
 
 from helpers import random_admg, random_estimand, random_query, scrambled_names
@@ -201,10 +206,11 @@ def _check_builders(g, factor):
     """Every component factor of ``factor`` against ``product()`` of its ratios;
     returns how many components had one run and how many had several."""
     comps = s_components(g, factor.scope)
-    build = _component_builder(g.topological_order(factor.scope), factor, comps)
+    built = _component_factors(g.topological_order(factor.scope), factor, comps)
+    assert [f.scope for f in built] == comps
     counts = [0, 0]
-    for comp in comps:
-        got, want = build(comp).expr, _product_of_runs(g, factor, comp)
+    for comp, f in zip(comps, built):
+        got, want = f.expr, _product_of_runs(g, factor, comp)
         assert got == want and repr(got) == repr(want)
         counts[isinstance(got, Product)] += 1
     return counts
@@ -228,17 +234,34 @@ def test_component_factors_equal_the_product_of_their_ratios():
             d = g.ancestors([v for v in y if v in non_anc], within=non_anc - set(x))
             for comp in s_components(g, d):
                 t = next(e for e in enclosing if comp[0] in e)
-                factor = _component_builder(g.topological_order(base.scope), base, [t])(t)
+                factor = _component_factors(g.topological_order(base.scope), base, [t])[0]
                 for ancestry, part in g._narrow(comp, t, selected=True)[1]:
                     dropped = [v for v in factor.scope if v not in ancestry]
                     factor = QsFactor(ancestry, sum_over(dropped, factor.expr))
                     if part != ancestry:
                         counts += _check_builders(g, factor)
                         order = g.topological_order(factor.scope)
-                        factor = _component_builder(order, factor, [part])(part)
+                        factor = _component_factors(order, factor, [part])[0]
                         replayed += 1
     # enough factors of several runs, and replayed ones, that the checks mean something
     assert counts[0] >= 150 and counts[1] >= 40 and replayed >= 30
+
+
+def test_prefix_marginals_merge_with_a_sum_that_binds_a_scope_name():
+    # a factor built by hand whose own sum binds a name of its scope: each
+    # prefix marginal is the canonical sum_over, not a sum nested in a sum
+    g = AugmentedAdmg(["A", "B", "C", "S"], [("A", "B"), ("C", "S")], selection="S")
+    factor = QsFactor(("A", "B"), sum_over(["A"], prob(["A", "B", "C"])))
+    order = g.topological_order(factor.scope)
+    marginals = [sum_over(order[i:], factor.expr) for i in range(len(order) + 1)]
+    assert order == ("A", "B")
+    assert render(marginals[1], "text", unicode_sum=False) == "Sum_{A,B} P(A,B,C|S=1)"
+    parts = qs_decompose(g, factor)
+    for p in parts:
+        assert from_json(to_json(p.expr)) == p.expr
+    assert [p.scope for p in parts] == [("A",), ("B",)]
+    assert parts[0].expr == marginals[1]
+    assert parts[1].expr == Quotient(marginals[2], marginals[1])
 
 
 def _factors(e):
@@ -291,6 +314,40 @@ def test_the_estimand_module_imports_no_other_module_at_run_time():
         or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
     ]
     assert offenders == []
+
+
+def _unused_imports(path, exported):
+    """Names that ``path`` imports and neither reads nor lists in ``exported``."""
+    tree = ast.parse(path.read_text())
+    imported = {}  # bound name -> line
+    for node in ast.walk(tree):
+        future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and not (name.startswith("__") and name.endswith("__")):
+                    imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in read and name not in exported]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "subid" if path.stem == "__init__" else f"subid.{path.stem}"
+        exported = getattr(importlib.import_module(name), "__all__", ())
+        offenders += _unused_imports(path, set(exported))
+    assert offenders == []
+
+
+def test_the_unused_import_check_sees_an_orphaned_import(tmp_path):
+    path = tmp_path / "orphan.py"
+    path.write_text("from collections.abc import Callable, Iterable\nimport json, os.path\n"
+                    "from . import *\n\n"
+                    "def f(xs: Iterable[str]) -> str:\n    return json.dumps(xs)\n")
+    assert _unused_imports(path, set()) == ["orphan.py:1: Callable", "orphan.py:2: os"]
+    assert _unused_imports(path, {"Callable", "os"}) == []
 
 
 def test_only_the_graph_module_reads_masks():
